@@ -53,7 +53,9 @@ attemptWithTimeout(const RunRequest &request,
         static_cast<int>(AttemptState::Running));
     auto prom = std::make_shared<std::promise<RunResult>>();
     std::future<RunResult> future = prom->get_future();
-    std::thread worker([&fn, request, state, prom] {
+    // fn by value: an orphaned attempt keeps running after this
+    // function, and its caller's fn, have gone.
+    std::thread worker([fn, request, state, prom] {
         try {
             prom->set_value(fn(request));
         } catch (...) {

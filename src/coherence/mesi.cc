@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/log.hh"
-#include "sim/shard_fence.hh"
 
 namespace tsoper
 {
@@ -12,7 +11,7 @@ namespace tsoper
 MesiProtocol::MesiProtocol(const SystemConfig &cfg, EventQueue &eq,
                            Mesh &mesh, Llc &llc, Nvm &nvm,
                            StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(cfg, eq, mesh), llc_(llc), nvm_(nvm),
+    : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm),
       serializer_(eq), capacity_(cfg.dirEntriesPerBank, cfg.llcBanks,
                                  cfg.dirEvictBufferEntries, stats),
       txns_(stats), mshr_(eq, cfg.numCores, cfg.mshrEntries, stats),
@@ -133,8 +132,6 @@ std::optional<Cycle>
 MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    // Transaction bodies execute at the directory bank's tile.
-    shardFenceCheck(bus_.bankNode(bankOf(line)));
     if (Node *n = findNode(core, line); n && n->st != St::I) {
         // Raced: an earlier queued transaction already fetched it.
         done(t + dirLatency_, n->words[wordOf(addr)]);
@@ -280,7 +277,6 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
                        StoreDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    shardFenceCheck(bus_.bankNode(bankOf(line)));
     if (hooks_->tryDeferStoreCommit(core, line,
                                     [this, core, addr, store, done] {
             this->store(core, addr, store, done);
@@ -521,7 +517,6 @@ MesiProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
 void
 MesiProtocol::teardownEntry(LineAddr victim, Cycle t)
 {
-    shardFenceCheck(bus_.bankNode(bankOf(victim)));
     Entry &e = entries_[victim];
     if (e.owner != invalidCore) {
         const CoreId o = e.owner;

@@ -5,7 +5,6 @@
 
 #include "sim/debug.hh"
 #include "sim/log.hh"
-#include "sim/shard_fence.hh"
 #include "sim/trace.hh"
 
 namespace tsoper
@@ -13,7 +12,7 @@ namespace tsoper
 
 SlcProtocol::SlcProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
                          Llc &llc, Nvm &nvm, StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(cfg, eq, mesh), llc_(llc), nvm_(nvm),
+    : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm),
       stats_(stats),
       serializer_(eq), capacity_(cfg.dirEntriesPerBank, cfg.llcBanks,
                                  cfg.dirEvictBufferEntries, stats),
@@ -176,8 +175,6 @@ std::optional<Cycle>
 SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    // Transaction bodies execute at the directory bank's tile.
-    shardFenceCheck(bus_.bankNode(bankOf(line)));
     if (entries_[line].zombie) {
         zombieWaiters_[line].push_back([this, core, addr, done] {
             load(core, addr, done);
@@ -313,7 +310,6 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
                       Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    shardFenceCheck(bus_.bankNode(bankOf(line)));
     if (entries_[line].zombie) {
         zombieWaiters_[line].push_back([this, core, addr, store, done] {
             this->store(core, addr, store, done);
@@ -612,7 +608,6 @@ SlcProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
 void
 SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
 {
-    shardFenceCheck(bus_.bankNode(bankOf(victim)));
     auto eit = entries_.find(victim);
     tsoper_assert(eit != entries_.end(), "teardown of absent entry");
     Entry &e = eit->second;

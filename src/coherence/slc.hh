@@ -237,8 +237,8 @@ class SlcProtocol : public CoherenceProtocol
     const SystemConfig &cfg_;
     EventQueue &eq_;
     /** All cross-tile traffic (requests, forwards, data replies,
-     *  writebacks) goes through the bus — the explicit message path
-     *  the sharded kernel relies on (docs/pdes.md). */
+     *  writebacks) goes through the bus, so NoC timing and traffic
+     *  accounting live in one place (noc/message_bus.hh). */
     MessageBus bus_;
     Llc &llc_;
     Nvm &nvm_;

@@ -1,7 +1,9 @@
 /**
  * @file
  * Multi-message transaction bookkeeping for the decomposed directory
- * protocols (docs/pdes.md "Multi-shard operation"):
+ * protocols, whose requests travel as real MessageBus legs so that a
+ * requester completes when the last reply actually arrives (see the
+ * timing model in coherence/slc.hh):
  *
  *  - TxnTable: home-side transaction entries.  A directory bank that
  *    decomposes a request into several message legs (invalidations

@@ -4,7 +4,6 @@
 
 #include "sim/debug.hh"
 #include "sim/log.hh"
-#include "sim/shard_fence.hh"
 #include "sim/trace.hh"
 
 namespace tsoper
@@ -12,7 +11,7 @@ namespace tsoper
 
 Agb::Agb(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh, Nvm &nvm,
          Llc &llc, StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(cfg, eq, mesh), nvm_(nvm), llc_(llc),
+    : cfg_(cfg), eq_(eq), bus_(eq, mesh), nvm_(nvm), llc_(llc),
       distributed_(cfg.agbDistributed), unbounded_(cfg.agbUnbounded),
       slices_(cfg.agbDistributed ? cfg.nvmRanks : 1),
       sliceCapacity_(cfg.agbDistributed
@@ -76,8 +75,6 @@ Agb::requestAllocation(CoreId from, std::vector<LineAddr> lines,
 void
 Agb::tryGrant()
 {
-    // Grant arbitration runs at the arbiter's tile.
-    shardFenceCheck(arbiterNode_);
     while (!allocQueue_.empty()) {
         auto it = ags_.find(allocQueue_.front());
         tsoper_assert(it != ags_.end());

@@ -126,7 +126,7 @@ class Agb
 
     const SystemConfig &cfg_;
     EventQueue &eq_;
-    /** Explicit cross-tile message path (see docs/pdes.md). */
+    /** Explicit cross-tile message path (noc/message_bus.hh). */
     MessageBus bus_;
     Nvm &nvm_;
     Llc &llc_;

@@ -117,7 +117,7 @@ class BspEngine : public PersistEngine
 
     const SystemConfig &cfg_;
     EventQueue &eq_;
-    /** Explicit cross-tile message path (see docs/pdes.md). */
+    /** Explicit cross-tile message path (noc/message_bus.hh). */
     MessageBus bus_;
     Llc &llc_;
     Nvm &nvm_;

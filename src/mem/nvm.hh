@@ -85,6 +85,10 @@ class Nvm
 
     std::uint64_t writesCompleted() const { return writesDone_.value(); }
 
+    /** The queue this NVM's completion events run on; the LLC in
+     *  front of it schedules its access completions there too. */
+    EventQueue &eventQueue() const { return eq_; }
+
   private:
     unsigned ranks_;
     Cycle writeLatency_;

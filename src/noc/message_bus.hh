@@ -2,12 +2,12 @@
  * @file
  * MessageBus: the explicit cross-tile message path.
  *
- * Stage 1 of the parallel-kernel refactor (ROADMAP item 2, docs/
- * pdes.md): every interaction between mesh tiles — core requests to
- * directory banks, grants and forwards back to cores, AGB ingress,
- * writeback traffic — flows through this choke point instead of
- * ad-hoc `mesh.route(...)` + `eq.schedule(...)` pairs scattered
- * through the components.  The bus offers exactly two shapes:
+ * Every interaction between mesh tiles — core requests to directory
+ * banks, grants and forwards back to cores, AGB ingress, writeback
+ * traffic — flows through this one seam instead of ad-hoc
+ * `mesh.route(...)` + `eq.schedule(...)` pairs scattered through the
+ * components, so NoC timing and traffic accounting live in one place.
+ * The bus offers exactly two shapes:
  *
  *  - send():    a timestamped message event — route through the mesh
  *               (accounting link contention) and run a continuation
@@ -17,18 +17,6 @@
  *               model commits state at directory dispatch and only
  *               needs the legs' delivery cycles).  The route still
  *               occupies links, so traffic accounting is unchanged.
- *
- * Because the mesh's hop latency bounds every leg from below,
- * minLatency() is the conservative kernel's lookahead: no message
- * can cross tiles in fewer cycles, so shards may safely execute a
- * window of that width in parallel (sim/shard_queue.hh).
- *
- * Today each component constructs its bus over the shared Mesh and
- * the (single-shard) event queue, so send() degenerates to the exact
- * route+schedule sequence the components used to inline — fixed-seed
- * stats stay byte-identical.  When tiles move to their own shards,
- * this is the one seam where schedule() becomes
- * ShardedEventQueue::post().
  */
 
 #ifndef TSOPER_NOC_MESSAGE_BUS_HH
@@ -44,7 +32,7 @@ namespace tsoper
 class MessageBus
 {
   public:
-    MessageBus(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh);
+    MessageBus(EventQueue &eq, Mesh &mesh) : eq_(eq), mesh_(mesh) {}
 
     /**
      * Timestamped message: route @p bytes from tile @p src to tile
@@ -74,10 +62,6 @@ class MessageBus
         return mesh_.route(src, dst, bytes, depart);
     }
 
-    /** Minimum latency of any cross-tile message: one NoC hop.  The
-     *  sharded kernel's lookahead. */
-    Cycle minLatency() const { return minLatency_; }
-
     // --- Tile-name helpers (delegate to the mesh's node map) -------
     int coreNode(CoreId core) const { return mesh_.coreNode(core); }
     int bankNode(unsigned bank) const { return mesh_.bankNode(bank); }
@@ -95,7 +79,6 @@ class MessageBus
   private:
     EventQueue &eq_;
     Mesh &mesh_;
-    Cycle minLatency_;
 };
 
 } // namespace tsoper

@@ -23,6 +23,16 @@ constexpr const char *names_[numFlags] = {
     "slc", "mesi", "ag", "agb", "bsp", "hwrp", "cpu",
 };
 
+/** Read TSOPER_DEBUG on first use.  A function-local static makes
+ *  the first use race-free when campaign pool threads start
+ *  simulations concurrently. */
+void
+ensureInit()
+{
+    static const bool once = (initFromEnv(), true);
+    (void)once;
+}
+
 } // namespace
 
 const char *
@@ -72,8 +82,7 @@ setFlags(const std::string &csv)
 std::string
 flagsCsv()
 {
-    if (!initialized_)
-        initFromEnv();
+    ensureInit();
     std::string csv;
     for (unsigned f = 0; f < numFlags; ++f) {
         if (!flags_[f])
@@ -104,8 +113,7 @@ initFromEnv()
 bool
 enabled(Flag flag)
 {
-    if (!initialized_)
-        initFromEnv();
+    ensureInit();
     return flags_[static_cast<unsigned>(flag)];
 }
 

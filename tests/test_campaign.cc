@@ -139,6 +139,8 @@ TEST(CampaignSpec, ParseErrorsCarryLineNumbers)
     EXPECT_NE(err.find("line 2"), std::string::npos);
     EXPECT_FALSE(parseSpecText("seeds = one", &spec, &err));
     EXPECT_FALSE(parseSpecText("check = maybe", &spec, &err));
+    EXPECT_FALSE(parseSpecText("threads = 2", &spec, &err));
+    EXPECT_NE(err.find("unknown key \"threads\""), std::string::npos);
 }
 
 TEST(CampaignSpec, BuiltinCampaignsAreValid)

@@ -35,9 +35,6 @@
  *   --cores=<n> --ag-max-lines=<n> --agb-slice-lines=<n>
  *   --name=<s>             campaign name in the report
  *   --jobs=<n>             worker threads   (default: hardware)
- *   --threads=<n>          event-kernel threads per cell, overriding
- *                          the spec (default: spec's, 0 = sequential;
- *                          keep jobs x threads <= host CPUs)
  *   --timeout-ms=<n>       per-cell budget  (default: spec's, 120000)
  *   --retries=<n>          extra attempts   (default: spec's, 1)
  *   --backoff-ms=<n>       first retry delay, doubling per attempt
@@ -131,7 +128,6 @@ struct CliOptions
     unsigned jobs = 0;
     int timeoutMs = -1; ///< -1 = take the spec's value.
     int retries = -1;
-    int threads = -1; ///< -1 = take the spec's value.
     bool verifyOut = false;
     bool dryRun = false;
     bool quiet = false;
@@ -161,7 +157,7 @@ usage(int code)
     std::printf(
         "usage: tsoper_campaign (--campaign=NAME | --spec=FILE | matrix "
         "flags)\n"
-        "                       [--jobs=N] [--threads=N] [--timeout-ms=N] "
+        "                       [--jobs=N] [--timeout-ms=N] "
         "[--retries=N]\n"
         "                       [--backoff-ms=N] [--isolate=none|subprocess]\n"
         "                       [--sim-bin=PATH] [--mem-limit-mb=N]\n"
@@ -299,9 +295,6 @@ parseCli(int argc, char **argv)
                 opt.timeoutMs = static_cast<int>(
                     parseBoundedOrDie(val("--timeout-ms="),
                                       "--timeout-ms", 0, 86'400'000));
-            } else if (arg.rfind("--threads=", 0) == 0) {
-                opt.threads = static_cast<int>(parseBoundedOrDie(
-                    val("--threads="), "--threads", 0, 64));
             } else if (arg.rfind("--retries=", 0) == 0) {
                 opt.retries = static_cast<int>(parseBoundedOrDie(
                     val("--retries="), "--retries", 0, 100));
@@ -513,14 +506,6 @@ main(int argc, char **argv)
     } else {
         spec = opt.matrix;
     }
-
-    // The threads override rides on top of whichever spec source won:
-    // it shapes the host's thread budget (jobs x threads), not the
-    // simulated machine, so sweeping it over a built-in campaign must
-    // not require editing the spec (docs/campaigns.md, "Sweeping the
-    // threads axis").
-    if (opt.threads >= 0)
-        spec.threads = static_cast<unsigned>(opt.threads);
 
     const std::string invalid = validateSpec(spec);
     if (!invalid.empty()) {
