@@ -4,7 +4,7 @@
  * to a single JSON artifact (BENCH_campaign.json).
  *
  * Cells appear in spec-expansion order regardless of the order the
- * pool finished them, and everything derived from the simulation
+ * job threads finished them, and everything derived from the simulation
  * (status, cycles, audit, stats) is deterministic given the spec —
  * only the "wall_ms"/"attempts" bookkeeping fields vary between runs.
  *
@@ -101,10 +101,10 @@ struct CampaignReport
  * fields that legitimately vary between runs of the same spec —
  * wall-clock ("wall_ms" everywhere), scheduling ("jobs",
  * "orphaned_threads") and retry bookkeeping ("attempts",
- * "attempt_log", "stderr_tail").  Two runs of one spec — local
- * thread-pool or distributed fabric, any worker count, any failover
- * history — must dump() byte-identical canonical forms; the net_smoke
- * test enforces exactly that.
+ * "attempt_log", "stderr_tail").  Two runs of one spec — any --jobs
+ * count, fresh or continued with --resume — must dump()
+ * byte-identical canonical forms; the campaign_determinism test
+ * enforces that across job counts.
  */
 Json canonicalReportJson(const CampaignReport &report);
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Campaign runner: executes a list of run manifests on the
- * work-stealing pool with per-cell wall-clock timeout, retry with
- * exponential backoff on transient failure, and live progress
- * reporting, then aggregates everything into a CampaignReport.
+ * Campaign runner: executes a list of run manifests on `jobs`
+ * threads that claim cells last-first, with per-cell wall-clock
+ * timeout, retry with exponential backoff on transient failure, and
+ * live progress reporting, then aggregates everything into a
+ * CampaignReport.
  *
  * Two isolation modes (RunnerOptions::isolation):
  *
@@ -51,7 +52,7 @@ namespace tsoper::campaign
 
 enum class Isolation
 {
-    InProcess,  ///< runOne() on a pool thread (default).
+    InProcess,  ///< runOne() on a job thread (default).
     Subprocess, ///< fork/exec tsoper_sim per attempt.
 };
 
@@ -105,8 +106,8 @@ struct RunnerOptions
 unsigned liveOrphanCount();
 
 /**
- * Run one cell under the timeout/retry/backoff policy (no pool
- * involved); the building block runCampaign schedules, exposed for
+ * Run one cell under the timeout/retry/backoff policy on the calling
+ * thread; the building block runCampaign schedules, exposed for
  * tests.
  */
 CellReport runCell(const RunRequest &request, const RunnerOptions &opt);

@@ -24,7 +24,7 @@ constexpr const char *names_[numFlags] = {
 };
 
 /** Read TSOPER_DEBUG on first use.  A function-local static makes
- *  the first use race-free when campaign pool threads start
+ *  the first use race-free when campaign job threads start
  *  simulations concurrently. */
 void
 ensureInit()

@@ -1,6 +1,6 @@
 /** @file Tests for the campaign subsystem: spec expansion, the
- *  work-stealing pool, timeout/retry classification, runOne, and
- *  report aggregation. */
+ *  runner's job threads, timeout/retry classification, runOne, report
+ *  aggregation and the journal. */
 
 #include <gtest/gtest.h>
 
@@ -12,13 +12,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "campaign/builtin.hh"
 #include "campaign/journal.hh"
 #include "campaign/report.hh"
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
-#include "campaign/thread_pool.hh"
 
 using namespace tsoper;
 using namespace tsoper::campaign;
@@ -141,6 +141,13 @@ TEST(CampaignSpec, ParseErrorsCarryLineNumbers)
     EXPECT_FALSE(parseSpecText("check = maybe", &spec, &err));
     EXPECT_FALSE(parseSpecText("threads = 2", &spec, &err));
     EXPECT_NE(err.find("unknown key \"threads\""), std::string::npos);
+    // Numbers parse strictly: no sign, nothing narrowed, finite only.
+    EXPECT_FALSE(parseSpecText("seeds = -1", &spec, &err));
+    EXPECT_NE(err.find("bad seed \"-1\""), std::string::npos) << err;
+    EXPECT_FALSE(parseSpecText("\ncores = 4294967297", &spec, &err));
+    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+    EXPECT_FALSE(parseSpecText("scales = inf", &spec, &err));
+    EXPECT_NE(err.find("bad scale \"inf\""), std::string::npos) << err;
 }
 
 TEST(CampaignSpec, BuiltinCampaignsAreValid)
@@ -153,56 +160,6 @@ TEST(CampaignSpec, BuiltinCampaignsAreValid)
     EXPECT_NE(findBuiltinCampaign("crash-matrix"), nullptr);
     EXPECT_NE(findBuiltinCampaign("mini"), nullptr);
     EXPECT_EQ(findBuiltinCampaign("nope"), nullptr);
-}
-
-// --- Thread pool ------------------------------------------------------
-
-TEST(ThreadPool, ExecutesEveryTaskExactlyOnceUnderContention)
-{
-    constexpr int kTasks = 500;
-    std::vector<std::atomic<int>> hits(kTasks);
-    for (auto &h : hits)
-        h.store(0);
-
-    ThreadPool pool(8);
-    for (int i = 0; i < kTasks; ++i)
-        pool.submit([&hits, i] {
-            // A tiny stagger so deques drain unevenly and stealing
-            // actually happens.
-            if (i % 7 == 0)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(200));
-            hits[i].fetch_add(1);
-        });
-    pool.wait();
-
-    for (int i = 0; i < kTasks; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-}
-
-TEST(ThreadPool, TasksCanSubmitTasks)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(4);
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&] {
-            count.fetch_add(1);
-            pool.submit([&] { count.fetch_add(1); });
-        });
-    pool.wait();
-    EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(2);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 2);
 }
 
 // --- Timeout / retry classification ----------------------------------
@@ -591,12 +548,103 @@ TEST(Journal, ToleratesTornFinalLineAndRejectsWrongFormat)
     EXPECT_EQ(idx.cells.size(), 1u);
     EXPECT_TRUE(idx.cells.count("a"));
 
+    // A record that is not a cell, anywhere but the end, is corruption.
+    ASSERT_TRUE(journal.open(path, "torn", /*truncate=*/true, &err));
+    journal.append(okCell("a", 10));
+    journal.close();
+    {
+        std::ofstream os(path, std::ios::app);
+        os << "{\"event\":\"lease\"}\n";
+    }
+    ASSERT_TRUE(journal.open(path, "torn", /*truncate=*/false, &err));
+    journal.append(okCell("b", 20));
+    journal.close();
+    EXPECT_FALSE(loadJournal(path, &idx, &err));
+    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+
     {
         std::ofstream os(path, std::ios::trunc);
         os << "{\"format\":\"something/else\"}\n";
     }
     EXPECT_FALSE(loadJournal(path, &idx, &err));
     EXPECT_NE(err.find("journal"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(Journal, TornFinalLineToleratedAtEveryByteOffset)
+{
+    const std::string path =
+        ::testing::TempDir() + "tsoper_journal_cut.jsonl";
+    std::string err;
+
+    {
+        CampaignJournal journal;
+        ASSERT_TRUE(journal.open(path, "torn", /*truncate=*/true,
+                                 &err))
+            << err;
+        journal.append(okCell("keep0", 10));
+        journal.append(okCell("keep1", 20));
+        journal.append(okCell("torn", 30));
+    }
+
+    std::string full;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        full = buf.str();
+    }
+    // Start of the final record: the byte after the second-to-last
+    // newline (the file ends with one).
+    ASSERT_FALSE(full.empty());
+    ASSERT_EQ(full.back(), '\n');
+    const std::size_t lastStart =
+        full.rfind('\n', full.size() - 2) + 1;
+    const std::size_t lastLen = full.size() - lastStart;
+    ASSERT_GT(lastLen, 2u);
+
+    // A writer can die after any byte of the final append.  Whatever
+    // the cut, the journal must load and keep the intact prefix.  Two
+    // cuts are special: +0 ends cleanly on the previous newline (no
+    // warning, nothing torn) and +lastLen-1 severs only the trailing
+    // newline, leaving a complete third record.
+    for (std::size_t cut = 0; cut < lastLen; ++cut) {
+        {
+            std::ofstream out(path,
+                              std::ios::binary | std::ios::trunc);
+            out.write(full.data(), static_cast<std::streamsize>(
+                                       lastStart + cut));
+        }
+        JournalIndex index;
+        std::string warn;
+        ASSERT_TRUE(loadJournal(path, &index, &err, &warn))
+            << "cut at +" << cut << ": " << err;
+        EXPECT_TRUE(index.cells.count("keep0"));
+        EXPECT_TRUE(index.cells.count("keep1"));
+        if (cut == 0) {
+            EXPECT_EQ(index.cells.size(), 2u);
+            EXPECT_TRUE(warn.empty()) << warn; // clean end-of-file
+        } else if (cut == lastLen - 1) {
+            EXPECT_EQ(index.cells.size(), 3u); // record is whole
+            EXPECT_TRUE(warn.empty()) << warn;
+        } else {
+            EXPECT_EQ(index.cells.size(), 2u) << "cut at +" << cut;
+            EXPECT_NE(warn.find("torn"), std::string::npos)
+                << "cut at +" << cut << ": no warning";
+        }
+    }
+
+    // The untruncated journal still loads all three, silently.
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(full.data(),
+                  static_cast<std::streamsize>(full.size()));
+    }
+    JournalIndex index;
+    std::string warn;
+    ASSERT_TRUE(loadJournal(path, &index, &err, &warn)) << err;
+    EXPECT_TRUE(warn.empty()) << warn;
+    EXPECT_EQ(index.cells.size(), 3u);
     std::remove(path.c_str());
 }
 
@@ -662,4 +710,42 @@ TEST(Journal, ResumeRunsOnlyUnjournaledCells)
     EXPECT_FALSE(third.cells[0].fromJournal);
     EXPECT_TRUE(third.cells[1].fromJournal);
     std::remove(path.c_str());
+}
+
+TEST(Runner, ExecutesEveryCellExactlyOnceUnderContention)
+{
+    // Every fifth cell comes back from a journal; the rest are claimed
+    // by 8 job threads and must each run exactly once.
+    constexpr int kCells = 500;
+    std::vector<RunRequest> cells;
+    JournalIndex journaled;
+    for (int i = 0; i < kCells; ++i) {
+        cells.push_back(fakeRequest(std::to_string(i)));
+        if (i % 5 == 0)
+            journaled.cells[cells.back().id] = okCell(cells.back().id, 1);
+    }
+    std::vector<std::atomic<int>> hits(kCells);
+    for (auto &h : hits)
+        h.store(0);
+
+    RunnerOptions opt;
+    opt.jobs = 8;
+    opt.backoffBaseMs = 0;
+    opt.resumeFrom = &journaled;
+    opt.cellFn = [&](const RunRequest &r) {
+        const int i = std::stoi(r.id);
+        // A tiny stagger so the threads finish unevenly.
+        if (i % 7 == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        hits[i].fetch_add(1);
+        RunResult res;
+        res.status = RunStatus::Ok;
+        return res;
+    };
+
+    const CampaignReport report = runCampaign("contention", cells, opt);
+    EXPECT_EQ(report.resumedCount(), kCells / 5u);
+    EXPECT_TRUE(report.allOk());
+    for (int i = 0; i < kCells; ++i)
+        EXPECT_EQ(hits[i].load(), i % 5 == 0 ? 0 : 1) << "cell " << i;
 }

@@ -11,14 +11,12 @@
  *   tsoper_campaign --campaign=fig11 --resume=results/fig11
  *   tsoper_campaign --list-campaigns
  *   tsoper_campaign --campaign=fig12 --dry-run
- *   tsoper_campaign --campaign=fig11 --serve=7421
- *   tsoper_campaign --connect=host:7421 --jobs=8
- *   tsoper_campaign --campaign=mini --serve=0 --workers-local=2
+ *   tsoper_campaign --campaign=mini --jobs=4 --canonical-out=mini.json
  *
  * A campaign expands into the cartesian grid of run manifests, runs
- * them on a work-stealing thread pool (per-cell timeout, retry with
- * exponential backoff on transient failure), and writes one JSON
- * report with every cell's status and full statistics (default:
+ * them on --jobs threads (per-cell timeout, retry with exponential
+ * backoff on transient failure), and writes one JSON report with
+ * every cell's status and full statistics (default:
  * BENCH_campaign.json).  Every finished cell is also appended durably
  * to a write-ahead journal (journal.jsonl next to the report) so an
  * interrupted sweep can be continued with --resume.
@@ -34,7 +32,7 @@
  *   --check                audit durable state per cell
  *   --cores=<n> --ag-max-lines=<n> --agb-slice-lines=<n>
  *   --name=<s>             campaign name in the report
- *   --jobs=<n>             worker threads   (default: hardware)
+ *   --jobs=<n>             job threads      (default: hardware)
  *   --timeout-ms=<n>       per-cell budget  (default: spec's, 120000)
  *   --retries=<n>          extra attempts   (default: spec's, 1)
  *   --backoff-ms=<n>       first retry delay, doubling per attempt
@@ -49,62 +47,33 @@
  *   --resume=<dir>         reload <dir>/journal.jsonl and re-run only
  *                          the cells it does not already cover
  *   --no-journal           skip the write-ahead journal
+ *   --canonical-out=<file> also write the canonical (volatile-field-
+ *                          free) report projection; byte-identical
+ *                          across --jobs counts and resumed runs
  *   --verify-out           re-read the report and fail unless it
  *                          parses and has no failed cells
  *   --dry-run              print the expanded manifests and exit
  *   --quiet                suppress per-cell progress lines
  *   --list-campaigns       print built-in campaigns and exit
  *
- * Distributed mode (docs/campaigns.md, "Distributed campaigns"):
- *   --serve=<port>         coordinator: lease cells to TCP workers
- *                          (0 = ephemeral; the bound port is printed)
- *   --connect=<host:port>  worker: execute leases from a coordinator;
- *                          needs no spec — cells arrive on the wire
- *   --workers-local=<n>    with --serve: fork n loopback workers of
- *                          this binary (CI / single-machine use)
- *   --worker-name=<s>      worker name in coordinator logs
- *   --grace-ms=<n>         coordinator: fall back to the local runner
- *                          after n ms with no connected worker
- *   --heartbeat-timeout-ms=<n>  declare a silent worker dead
- *   --straggler-ms=<n>     re-lease tail cells older than n ms to
- *                          idle workers (0 disables)
- *   --no-local-fallback    fail-stop instead of degrading locally
- *   --net-fault=K:SEED[:RATE]  deterministic wire-fault injection
- *                          (K = drop|dup|truncate|delay) on this
- *                          side's send path; negative-control testing
- *   --canonical-out=<file> also write the canonical (volatile-field-
- *                          free) report projection; byte-identical
- *                          across local and distributed runs
- *   --chaos-kill-worker=<n>  with --workers-local: SIGKILL the first
- *                          forked worker after n merged results
- *   --die-after=<n>        worker: vanish (no goodbye) after n
- *                          results — deterministic crash stand-in
- *
  * Exit codes:
  *   0  every cell ok            3  invalid spec / unknown campaign
  *   1  some cells not ok        4  report/journal I/O or verify failure
- *   2  usage error              5  worker: connection lost for good
- *                               6  worker: --die-after fired
+ *   2  usage error
  */
 
-#include <csignal>
+#include <climits>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "campaign/builtin.hh"
-#include "campaign/coordinator.hh"
 #include "campaign/journal.hh"
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
-#include "campaign/worker.hh"
 #include "workload/generators.hh"
 
 using namespace tsoper;
@@ -132,23 +101,9 @@ struct CliOptions
     bool dryRun = false;
     bool quiet = false;
     bool listCampaigns = false;
+    std::string canonicalOut;
     CampaignSpec matrix; ///< From matrix flags.
     bool matrixTouched = false;
-
-    // Distributed mode.
-    bool serve = false;
-    unsigned servePort = 0;
-    std::string connectTo; ///< host:port; non-empty = worker mode.
-    unsigned workersLocal = 0;
-    std::string workerName;
-    unsigned graceMs = 10'000;
-    unsigned heartbeatTimeoutMs = 10'000;
-    unsigned stragglerMs = 10'000;
-    bool localFallback = true;
-    net::WireFault fault;
-    std::string canonicalOut;
-    std::uint64_t chaosKillWorker = 0;
-    std::uint64_t dieAfter = 0;
 };
 
 [[noreturn]] void
@@ -162,14 +117,8 @@ usage(int code)
         "                       [--backoff-ms=N] [--isolate=none|subprocess]\n"
         "                       [--sim-bin=PATH] [--mem-limit-mb=N]\n"
         "                       [--out=FILE] [--resume=DIR] [--no-journal]\n"
-        "                       [--verify-out] [--dry-run] [--quiet]\n"
-        "                       [--list-campaigns]\n"
-        "distributed:  --serve=PORT [--workers-local=N] [--grace-ms=N]\n"
-        "              [--heartbeat-timeout-ms=N] [--straggler-ms=N]\n"
-        "              [--no-local-fallback] [--chaos-kill-worker=N]\n"
-        "              --connect=HOST:PORT [--worker-name=S] [--die-after=N]\n"
-        "              [--net-fault=drop|dup|truncate|delay:SEED[:RATE]]\n"
-        "              [--canonical-out=FILE]\n"
+        "                       [--canonical-out=FILE] [--verify-out]\n"
+        "                       [--dry-run] [--quiet] [--list-campaigns]\n"
         "matrix flags: --engines=a,b|all --benches=a,b|all --scales=f,..\n"
         "              --seeds=n,.. --crash-at=f,.. --check --cores=N\n"
         "              --ag-max-lines=N --agb-slice-lines=N --name=S\n");
@@ -196,49 +145,41 @@ splitCsv(const std::string &s)
 }
 
 /**
- * Strict decimal parse for option values: the whole string must be
- * digits and the result must land in [min, max], otherwise die with a
- * message that names the flag and its accepted range ("--jobs=8x" and
- * "--jobs=0" both get a real explanation, not a bare usage dump).
+ * Strict decimal parse (campaign::parseUint) for option values: the
+ * result must land in [min, max], otherwise die with a message that
+ * names the flag and its accepted range ("--jobs=8x" and "--jobs=0"
+ * both get a real explanation, not a bare usage dump).
  */
-unsigned long
+unsigned
 parseBoundedOrDie(const std::string &value, const char *flag,
-                  unsigned long min, unsigned long max)
+                  unsigned min, unsigned max)
 {
-    bool numeric = !value.empty();
-    for (char c : value)
-        numeric = numeric && c >= '0' && c <= '9';
-    unsigned long parsed = 0;
-    if (numeric) {
-        try {
-            parsed = std::stoul(value);
-        } catch (const std::exception &) {
-            numeric = false; // out of unsigned long's range
-        }
-    }
-    if (!numeric || parsed < min || parsed > max) {
+    std::uint64_t parsed = 0;
+    if (!parseUint(value, &parsed, max) || parsed < min) {
         std::fprintf(stderr,
-                     "%s expects an integer between %lu and %lu, got "
+                     "%s expects an integer between %u and %u, got "
                      "'%s'\n",
                      flag, min, max, value.c_str());
         std::exit(2);
     }
-    return parsed;
+    return static_cast<unsigned>(parsed);
 }
 
-template <typename Parse>
-auto
+/** A comma list of @p T, each item through @p parse (parseUint or
+ *  parseDouble); a bad item or an empty list is a usage error. */
+template <typename T, typename Parse>
+std::vector<T>
 parseListOrDie(const std::string &value, const char *what, Parse parse)
 {
-    std::vector<decltype(parse(std::string()))> out;
+    std::vector<T> out;
     for (const std::string &item : splitCsv(value)) {
-        try {
-            out.push_back(parse(item));
-        } catch (...) {
+        T parsed{};
+        if (!parse(item, &parsed)) {
             std::fprintf(stderr, "bad %s value: %s\n", what,
                          item.c_str());
             usage(2);
         }
+        out.push_back(parsed);
     }
     if (out.empty()) {
         std::fprintf(stderr, "empty %s list\n", what);
@@ -256,155 +197,100 @@ parseCli(int argc, char **argv)
         auto val = [&](const char *prefix) {
             return arg.substr(std::string(prefix).size());
         };
-        try {
-            if (arg.rfind("--campaign=", 0) == 0) {
-                opt.campaignName = val("--campaign=");
-            } else if (arg.rfind("--spec=", 0) == 0) {
-                opt.specFile = val("--spec=");
-            } else if (arg.rfind("--out=", 0) == 0) {
-                opt.out = val("--out=");
-                opt.outTouched = true;
-            } else if (arg.rfind("--resume=", 0) == 0) {
-                opt.resumeDir = val("--resume=");
-            } else if (arg.rfind("--isolate=", 0) == 0) {
-                opt.isolate = val("--isolate=");
-                if (opt.isolate != "none" &&
-                    opt.isolate != "subprocess") {
-                    std::fprintf(stderr,
-                                 "--isolate expects 'none' or "
-                                 "'subprocess', got '%s'\n",
-                                 opt.isolate.c_str());
-                    std::exit(2);
-                }
-            } else if (arg.rfind("--sim-bin=", 0) == 0) {
-                opt.simBin = val("--sim-bin=");
-            } else if (arg.rfind("--mem-limit-mb=", 0) == 0) {
-                opt.memLimitMb = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--mem-limit-mb="),
-                                      "--mem-limit-mb", 0, 1 << 20));
-            } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-                opt.backoffMs = static_cast<int>(
-                    parseBoundedOrDie(val("--backoff-ms="),
-                                      "--backoff-ms", 0, 3'600'000));
-            } else if (arg == "--no-journal") {
-                opt.noJournal = true;
-            } else if (arg.rfind("--jobs=", 0) == 0) {
-                opt.jobs = static_cast<unsigned>(parseBoundedOrDie(
-                    val("--jobs="), "--jobs", 1, 1024));
-            } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-                opt.timeoutMs = static_cast<int>(
-                    parseBoundedOrDie(val("--timeout-ms="),
-                                      "--timeout-ms", 0, 86'400'000));
-            } else if (arg.rfind("--retries=", 0) == 0) {
-                opt.retries = static_cast<int>(parseBoundedOrDie(
-                    val("--retries="), "--retries", 0, 100));
-            } else if (arg.rfind("--serve=", 0) == 0) {
-                opt.serve = true;
-                opt.servePort = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--serve="), "--serve", 0,
-                                      65'535));
-            } else if (arg.rfind("--connect=", 0) == 0) {
-                opt.connectTo = val("--connect=");
-            } else if (arg.rfind("--workers-local=", 0) == 0) {
-                opt.workersLocal = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--workers-local="),
-                                      "--workers-local", 1, 64));
-            } else if (arg.rfind("--worker-name=", 0) == 0) {
-                opt.workerName = val("--worker-name=");
-            } else if (arg.rfind("--grace-ms=", 0) == 0) {
-                opt.graceMs = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--grace-ms="), "--grace-ms",
-                                      0, 3'600'000));
-            } else if (arg.rfind("--heartbeat-timeout-ms=", 0) == 0) {
-                opt.heartbeatTimeoutMs = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--heartbeat-timeout-ms="),
-                                      "--heartbeat-timeout-ms", 100,
-                                      3'600'000));
-            } else if (arg.rfind("--straggler-ms=", 0) == 0) {
-                opt.stragglerMs = static_cast<unsigned>(
-                    parseBoundedOrDie(val("--straggler-ms="),
-                                      "--straggler-ms", 0,
-                                      3'600'000));
-            } else if (arg == "--no-local-fallback") {
-                opt.localFallback = false;
-            } else if (arg.rfind("--net-fault=", 0) == 0) {
-                std::string err;
-                if (!net::parseWireFault(val("--net-fault="),
-                                         &opt.fault, &err)) {
-                    std::fprintf(stderr, "--net-fault: %s\n",
-                                 err.c_str());
-                    std::exit(2);
-                }
-            } else if (arg.rfind("--canonical-out=", 0) == 0) {
-                opt.canonicalOut = val("--canonical-out=");
-            } else if (arg.rfind("--chaos-kill-worker=", 0) == 0) {
-                opt.chaosKillWorker = parseBoundedOrDie(
-                    val("--chaos-kill-worker="), "--chaos-kill-worker",
-                    1, 1'000'000);
-            } else if (arg.rfind("--die-after=", 0) == 0) {
-                opt.dieAfter = parseBoundedOrDie(
-                    val("--die-after="), "--die-after", 1, 1'000'000);
-            } else if (arg == "--verify-out") {
-                opt.verifyOut = true;
-            } else if (arg == "--dry-run") {
-                opt.dryRun = true;
-            } else if (arg == "--quiet") {
-                opt.quiet = true;
-            } else if (arg == "--list-campaigns") {
-                opt.listCampaigns = true;
-            } else if (arg.rfind("--engines=", 0) == 0) {
-                const std::string v = val("--engines=");
-                opt.matrix.engines =
-                    v == "all" ? engineNames() : splitCsv(v);
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--benches=", 0) == 0) {
-                const std::string v = val("--benches=");
-                opt.matrix.benches =
-                    v == "all" ? benchmarkNames() : splitCsv(v);
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--scales=", 0) == 0) {
-                opt.matrix.scales = parseListOrDie(
-                    val("--scales="), "scale",
-                    [](const std::string &s) { return std::stod(s); });
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--seeds=", 0) == 0) {
-                opt.matrix.seeds = parseListOrDie(
-                    val("--seeds="), "seed", [](const std::string &s) {
-                        return std::uint64_t{std::stoull(s)};
-                    });
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--crash-at=", 0) == 0) {
-                opt.matrix.crashFractions = parseListOrDie(
-                    val("--crash-at="), "crash fraction",
-                    [](const std::string &s) { return std::stod(s); });
-                opt.matrixTouched = true;
-            } else if (arg == "--check") {
-                opt.matrix.check = true;
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--cores=", 0) == 0) {
-                opt.matrix.cores = static_cast<unsigned>(
-                    std::stoul(val("--cores=")));
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--ag-max-lines=", 0) == 0) {
-                opt.matrix.agMaxLines = static_cast<unsigned>(
-                    std::stoul(val("--ag-max-lines=")));
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--agb-slice-lines=", 0) == 0) {
-                opt.matrix.agbSliceLines = static_cast<unsigned>(
-                    std::stoul(val("--agb-slice-lines=")));
-                opt.matrixTouched = true;
-            } else if (arg.rfind("--name=", 0) == 0) {
-                opt.matrix.name = val("--name=");
-                opt.matrixTouched = true;
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else {
-                std::fprintf(stderr, "unknown option: %s\n",
-                             arg.c_str());
-                usage(2);
+        if (arg.rfind("--campaign=", 0) == 0) {
+            opt.campaignName = val("--campaign=");
+        } else if (arg.rfind("--spec=", 0) == 0) {
+            opt.specFile = val("--spec=");
+        } else if (arg.rfind("--out=", 0) == 0) {
+            opt.out = val("--out=");
+            opt.outTouched = true;
+        } else if (arg.rfind("--resume=", 0) == 0) {
+            opt.resumeDir = val("--resume=");
+        } else if (arg.rfind("--isolate=", 0) == 0) {
+            opt.isolate = val("--isolate=");
+            if (opt.isolate != "none" && opt.isolate != "subprocess") {
+                std::fprintf(stderr,
+                             "--isolate expects 'none' or "
+                             "'subprocess', got '%s'\n",
+                             opt.isolate.c_str());
+                std::exit(2);
             }
-        } catch (const std::exception &) {
-            std::fprintf(stderr, "bad value in %s\n", arg.c_str());
+        } else if (arg.rfind("--sim-bin=", 0) == 0) {
+            opt.simBin = val("--sim-bin=");
+        } else if (arg.rfind("--mem-limit-mb=", 0) == 0) {
+            opt.memLimitMb = parseBoundedOrDie(
+                val("--mem-limit-mb="), "--mem-limit-mb", 0, 1 << 20);
+        } else if (arg.rfind("--backoff-ms=", 0) == 0) {
+            opt.backoffMs = static_cast<int>(parseBoundedOrDie(
+                val("--backoff-ms="), "--backoff-ms", 0, 3'600'000));
+        } else if (arg == "--no-journal") {
+            opt.noJournal = true;
+        } else if (arg.rfind("--jobs=", 0) == 0) {
+            opt.jobs = parseBoundedOrDie(val("--jobs="), "--jobs", 1, 1024);
+        } else if (arg.rfind("--timeout-ms=", 0) == 0) {
+            opt.timeoutMs = static_cast<int>(parseBoundedOrDie(
+                val("--timeout-ms="), "--timeout-ms", 0, 86'400'000));
+        } else if (arg.rfind("--retries=", 0) == 0) {
+            opt.retries = static_cast<int>(
+                parseBoundedOrDie(val("--retries="), "--retries", 0, 100));
+        } else if (arg.rfind("--canonical-out=", 0) == 0) {
+            opt.canonicalOut = val("--canonical-out=");
+        } else if (arg == "--verify-out") {
+            opt.verifyOut = true;
+        } else if (arg == "--dry-run") {
+            opt.dryRun = true;
+        } else if (arg == "--quiet") {
+            opt.quiet = true;
+        } else if (arg == "--list-campaigns") {
+            opt.listCampaigns = true;
+        } else if (arg.rfind("--engines=", 0) == 0) {
+            const std::string v = val("--engines=");
+            opt.matrix.engines = v == "all" ? engineNames() : splitCsv(v);
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--benches=", 0) == 0) {
+            const std::string v = val("--benches=");
+            opt.matrix.benches =
+                v == "all" ? benchmarkNames() : splitCsv(v);
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--scales=", 0) == 0) {
+            opt.matrix.scales = parseListOrDie<double>(
+                val("--scales="), "scale", parseDouble);
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--seeds=", 0) == 0) {
+            opt.matrix.seeds = parseListOrDie<std::uint64_t>(
+                val("--seeds="), "seed",
+                [](const std::string &s, std::uint64_t *out) {
+                    return parseUint(s, out);
+                });
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--crash-at=", 0) == 0) {
+            opt.matrix.crashFractions = parseListOrDie<double>(
+                val("--crash-at="), "crash fraction", parseDouble);
+            opt.matrixTouched = true;
+        } else if (arg == "--check") {
+            opt.matrix.check = true;
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--cores=", 0) == 0) {
+            // Range-checked by validateSpec, like a spec file's value.
+            opt.matrix.cores =
+                parseBoundedOrDie(val("--cores="), "--cores", 0, UINT_MAX);
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--ag-max-lines=", 0) == 0) {
+            opt.matrix.agMaxLines = parseBoundedOrDie(
+                val("--ag-max-lines="), "--ag-max-lines", 0, UINT_MAX);
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--agb-slice-lines=", 0) == 0) {
+            opt.matrix.agbSliceLines =
+                parseBoundedOrDie(val("--agb-slice-lines="),
+                                  "--agb-slice-lines", 0, UINT_MAX);
+            opt.matrixTouched = true;
+        } else if (arg.rfind("--name=", 0) == 0) {
+            opt.matrix.name = val("--name=");
+            opt.matrixTouched = true;
+        } else if (arg == "--help" || arg == "-h") {
+            usage(0);
+        } else {
+            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             usage(2);
         }
     }
@@ -423,57 +309,6 @@ main(int argc, char **argv)
             std::printf("%-18s %4zu cells  %s\n", c.name.c_str(),
                         c.spec.cellCount(), c.description.c_str());
         return 0;
-    }
-
-    // Worker mode: no spec, no report — cells arrive on the wire and
-    // results go back the same way.
-    if (!opt.connectTo.empty()) {
-        if (opt.serve || opt.workersLocal) {
-            std::fprintf(stderr,
-                         "--connect excludes --serve/--workers-local\n");
-            usage(2);
-        }
-        const std::size_t colon = opt.connectTo.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 == opt.connectTo.size()) {
-            std::fprintf(stderr,
-                         "--connect expects HOST:PORT, got '%s'\n",
-                         opt.connectTo.c_str());
-            usage(2);
-        }
-        WorkerOptions w;
-        w.host = opt.connectTo.substr(0, colon);
-        w.port = static_cast<std::uint16_t>(
-            parseBoundedOrDie(opt.connectTo.substr(colon + 1),
-                              "--connect port", 1, 65'535));
-        w.name = opt.workerName;
-        w.jobs = opt.jobs ? opt.jobs : 1;
-        w.fault = opt.fault;
-        w.dieAfterResults = opt.dieAfter;
-        if (opt.isolate == "subprocess") {
-            w.runner.isolation = Isolation::Subprocess;
-            w.runner.subprocess.simBinary = opt.simBin;
-            w.runner.subprocess.memLimitMb = opt.memLimitMb;
-        }
-        if (opt.backoffMs >= 0)
-            w.runner.backoffBaseMs =
-                static_cast<unsigned>(opt.backoffMs);
-        if (!opt.quiet)
-            w.progress = &std::cerr;
-        WorkerStats stats;
-        const int code = runWorker(w, &stats);
-        if (!opt.quiet)
-            std::fprintf(stderr, "%s\n", stats.summary().c_str());
-        return code;
-    }
-    if (opt.workersLocal && !opt.serve) {
-        std::fprintf(stderr, "--workers-local requires --serve\n");
-        usage(2);
-    }
-    if (opt.chaosKillWorker && !opt.workersLocal) {
-        std::fprintf(stderr,
-                     "--chaos-kill-worker requires --workers-local\n");
-        usage(2);
     }
 
     const int sources = (opt.campaignName.empty() ? 0 : 1) +
@@ -607,109 +442,7 @@ main(int argc, char **argv)
                     ? " (subprocess isolation)"
                     : "");
 
-    CampaignReport report;
-    if (opt.serve) {
-        std::vector<pid_t> workerPids;
-        bool chaosKilled = false;
-
-        CoordinatorOptions co;
-        co.port = static_cast<std::uint16_t>(opt.servePort);
-        co.runner = runner;
-        co.heartbeatTimeoutMs = opt.heartbeatTimeoutMs;
-        co.stragglerMs = opt.stragglerMs;
-        co.graceMs = opt.graceMs;
-        co.localFallback = opt.localFallback;
-        co.fault = opt.fault;
-        if (opt.chaosKillWorker)
-            co.onResult = [&](std::size_t merged) {
-                if (chaosKilled || merged < opt.chaosKillWorker ||
-                    workerPids.empty())
-                    return;
-                chaosKilled = true;
-                std::fprintf(stderr,
-                             "chaos: SIGKILL worker pid %d after %zu "
-                             "merged result%s\n",
-                             static_cast<int>(workerPids.front()),
-                             merged, merged == 1 ? "" : "s");
-                ::kill(workerPids.front(), SIGKILL);
-            };
-
-        Coordinator coord(std::move(co));
-        std::string err;
-        if (!coord.listen(&err)) {
-            std::fprintf(stderr, "cannot serve: %s\n", err.c_str());
-            return 4;
-        }
-        std::printf("serving campaign %s on port %u\n",
-                    spec.name.c_str(), coord.port());
-        std::fflush(stdout);
-
-        // Loopback workers: fork+exec this very binary in --connect
-        // mode.  CI's way of getting a real multi-process fabric on
-        // one machine.
-        const std::string self = [] {
-            char buf[4096];
-            const ssize_t n =
-                ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-            if (n <= 0)
-                return std::string("tsoper_campaign");
-            buf[n] = '\0';
-            return std::string(buf);
-        }();
-        for (unsigned i = 0; i < opt.workersLocal; ++i) {
-            std::vector<std::string> wargv = {
-                self,
-                "--connect=127.0.0.1:" + std::to_string(coord.port()),
-                "--worker-name=local-" + std::to_string(i),
-                "--jobs=" + std::to_string(opt.jobs ? opt.jobs : 1),
-            };
-            if (opt.isolate == "subprocess") {
-                wargv.push_back("--isolate=subprocess");
-                if (!opt.simBin.empty())
-                    wargv.push_back("--sim-bin=" + opt.simBin);
-                if (opt.memLimitMb)
-                    wargv.push_back("--mem-limit-mb=" +
-                                    std::to_string(opt.memLimitMb));
-            }
-            if (opt.quiet)
-                wargv.push_back("--quiet");
-            if (opt.dieAfter && i == 0)
-                wargv.push_back("--die-after=" +
-                                std::to_string(opt.dieAfter));
-            const pid_t pid = ::fork();
-            if (pid < 0) {
-                std::fprintf(stderr, "fork worker: %s\n",
-                             std::strerror(errno));
-                break;
-            }
-            if (pid == 0) {
-                std::vector<char *> cargv;
-                for (std::string &a : wargv)
-                    cargv.push_back(a.data());
-                cargv.push_back(nullptr);
-                ::execv(cargv[0], cargv.data());
-                std::fprintf(stderr, "exec %s: %s\n", cargv[0],
-                             std::strerror(errno));
-                ::_exit(127);
-            }
-            workerPids.push_back(pid);
-        }
-
-        report = coord.run(spec.name, cells);
-
-        for (pid_t pid : workerPids) {
-            int wstatus = 0;
-            pid_t got;
-            do {
-                got = ::waitpid(pid, &wstatus, 0);
-            } while (got < 0 && errno == EINTR);
-        }
-        if (!opt.quiet)
-            std::fprintf(stderr, "%s\n",
-                         coord.stats().summary().c_str());
-    } else {
-        report = runCampaign(spec.name, cells, runner);
-    }
+    const CampaignReport report = runCampaign(spec.name, cells, runner);
     journal.close();
 
     std::string err;

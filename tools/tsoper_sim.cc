@@ -73,14 +73,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "campaign/run_request.hh"
+#include "campaign/spec.hh"
 #include "core/system.hh"
 #include "sim/debug.hh"
 #include "sim/stats_json.hh"
@@ -174,6 +177,27 @@ runSelftest(const std::string &mode)
     std::exit(ExitUsage);
 }
 
+/** Option values go through the campaign layer's strict parsers; the
+ *  throw lands in parseCli's "malformed value" usage error. */
+template <typename T>
+T
+uintOrThrow(const std::string &s)
+{
+    std::uint64_t v = 0;
+    if (!campaign::parseUint(s, &v, std::numeric_limits<T>::max()))
+        throw std::invalid_argument(s);
+    return static_cast<T>(v);
+}
+
+double
+doubleOrThrow(const std::string &s)
+{
+    double v = 0;
+    if (!campaign::parseDouble(s, &v))
+        throw std::invalid_argument(s);
+    return v;
+}
+
 [[noreturn]] void
 usage(int code)
 {
@@ -223,8 +247,8 @@ parseCli(int argc, char **argv)
             else if (arg.rfind("--audit-fault=", 0) == 0)
                 opt.run.auditFault = val("--audit-fault=");
             else if (arg.rfind("--flight-recorder=", 0) == 0)
-                opt.run.flightRecorder = static_cast<unsigned>(
-                    std::stoul(val("--flight-recorder=")));
+                opt.run.flightRecorder =
+                    uintOrThrow<unsigned>(val("--flight-recorder="));
             else if (arg == "--list-debug-flags")
                 opt.listDebugFlags = true;
             else if (arg.rfind("--save-trace=", 0) == 0)
@@ -238,22 +262,21 @@ parseCli(int argc, char **argv)
             else if (arg.rfind("--selftest=", 0) == 0)
                 opt.selftest = val("--selftest=");
             else if (arg.rfind("--max-cycles=", 0) == 0)
-                opt.run.maxCycles = std::stoull(val("--max-cycles="));
+                opt.run.maxCycles = uintOrThrow<Cycle>(val("--max-cycles="));
             else if (arg.rfind("--scale=", 0) == 0)
-                opt.run.scale = std::stod(val("--scale="));
+                opt.run.scale = doubleOrThrow(val("--scale="));
             else if (arg.rfind("--seed=", 0) == 0)
-                opt.run.seed = std::stoull(val("--seed="));
+                opt.run.seed = uintOrThrow<std::uint64_t>(val("--seed="));
             else if (arg.rfind("--cores=", 0) == 0)
-                opt.run.cores = static_cast<unsigned>(
-                    std::stoul(val("--cores=")));
+                opt.run.cores = uintOrThrow<unsigned>(val("--cores="));
             else if (arg.rfind("--ag-max-lines=", 0) == 0)
-                opt.run.agMaxLines = static_cast<unsigned>(
-                    std::stoul(val("--ag-max-lines=")));
+                opt.run.agMaxLines =
+                    uintOrThrow<unsigned>(val("--ag-max-lines="));
             else if (arg.rfind("--agb-slice-lines=", 0) == 0)
-                opt.run.agbSliceLines = static_cast<unsigned>(
-                    std::stoul(val("--agb-slice-lines=")));
+                opt.run.agbSliceLines =
+                    uintOrThrow<unsigned>(val("--agb-slice-lines="));
             else if (arg.rfind("--crash-at=", 0) == 0)
-                opt.run.crashAt = std::stod(val("--crash-at="));
+                opt.run.crashAt = doubleOrThrow(val("--crash-at="));
             else if (arg == "--check")
                 opt.run.check = true;
             else if (arg == "--stats")
