@@ -74,23 +74,6 @@ std::vector<RunRequest> expand(const CampaignSpec &spec);
 std::string validateSpec(const CampaignSpec &spec);
 
 /**
- * The strict number parser shared by spec files and both CLIs.  The
- * whole of @p s must be decimal digits (no sign, no whitespace) and
- * the value at most @p max; callers pass their field's type limit so
- * nothing is narrowed after the check.  Returns false, leaving @p out
- * unchanged, otherwise.
- */
-bool parseUint(const std::string &s, std::uint64_t *out,
-               std::uint64_t max = UINT64_MAX);
-
-/**
- * Strict finite decimal ("0.5", ".25", "1e-3"): rejects a sign,
- * whitespace, trailing characters, hex, "inf"/"nan" and values out of
- * double's range.  Returns false, leaving @p out unchanged, otherwise.
- */
-bool parseDouble(const std::string &s, double *out);
-
-/**
  * Parse the key = value text format above into @p out (starting from
  * a default-constructed spec).  Returns false with a message in
  * @p err (including the line number) on malformed input.  Does not

@@ -21,15 +21,16 @@ LineSerializer::submit(LineAddr line, Body body)
 bool
 LineSerializer::busy(LineAddr line) const
 {
-    auto it = lines_.find(line);
-    return it != lines_.end() && it->second.busy;
+    const LineState *state = lines_.find(line);
+    return state && state->busy;
 }
 
 void
 LineSerializer::dispatch(LineAddr line, LineState &state, Body body)
 {
-    // state may dangle once the body runs (a body that submits can
-    // rehash lines_), so finish with it before calling the body.
+    // The body may submit to other lines (or queue on this one), but
+    // the line's state lives in a stable LineMap slot and is erased
+    // only by release(), an event of its own.
     state.busy = true;
     const std::optional<Cycle> freeAt = body(eq_.now());
     if (!freeAt)
@@ -41,9 +42,8 @@ LineSerializer::dispatch(LineAddr line, LineState &state, Body body)
 void
 LineSerializer::releaseAt(LineAddr line, Cycle at)
 {
-    auto it = lines_.find(line);
-    tsoper_assert(it != lines_.end() && it->second.busy,
-                  "deferred release of idle line");
+    const LineState *state = lines_.find(line);
+    tsoper_assert(state && state->busy, "deferred release of idle line");
     tsoper_assert(at >= eq_.now(), "deferred release in the past");
     eq_.schedule(at, [this, line] { release(line); });
 }
@@ -51,18 +51,20 @@ LineSerializer::releaseAt(LineAddr line, Cycle at)
 void
 LineSerializer::release(LineAddr line)
 {
-    auto it = lines_.find(line);
-    tsoper_assert(it != lines_.end() && it->second.busy,
-                  "release of idle line");
-    if (it->second.queue.empty()) {
+    LineState *state = lines_.find(line);
+    tsoper_assert(state && state->busy, "release of idle line");
+    if (state->queueHead == state->queue.size()) {
         // Erase idle lines: lines_ stays bounded by in-flight
         // transactions instead of growing with the address footprint.
-        lines_.erase(it);
+        lines_.erase(line);
         return;
     }
-    Body next = std::move(it->second.queue.front());
-    it->second.queue.pop_front();
-    dispatch(line, it->second, std::move(next));
+    Body next = std::move(state->queue[state->queueHead++]);
+    if (state->queueHead == state->queue.size()) {
+        state->queue.clear();
+        state->queueHead = 0;
+    }
+    dispatch(line, *state, std::move(next));
 }
 
 DirectoryCapacity::DirectoryCapacity(unsigned entriesPerBank, unsigned banks,
@@ -98,7 +100,7 @@ DirectoryCapacity::release(LineAddr line)
 void
 DirectoryCapacity::evictBufferEnter(LineAddr line)
 {
-    evictBuffer_[line] = true;
+    evictBuffer_.tryEmplace(line);
     evictBufferHist_.add(evictBuffer_.size());
     // The paper sizes this buffer so it never backpressures (footnote:
     // directory evictions are rare).  The model has no backpressure
@@ -119,7 +121,7 @@ DirectoryCapacity::evictBufferLeave(LineAddr line)
 bool
 DirectoryCapacity::inEvictBuffer(LineAddr line) const
 {
-    return evictBuffer_.count(line) != 0;
+    return evictBuffer_.contains(line);
 }
 
 } // namespace tsoper

@@ -20,13 +20,13 @@
 #ifndef TSOPER_COHERENCE_DIRECTORY_HH
 #define TSOPER_COHERENCE_DIRECTORY_HH
 
-#include <deque>
-#include <functional>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/cache_array.hh"
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
+#include "sim/line_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -39,8 +39,10 @@ class LineSerializer
     /** Transaction body: runs at its dispatch cycle and returns the
      *  cycle at which the next transaction for the line may dispatch,
      *  or nullopt for a *deferred* transaction whose completing
-     *  message leg calls releaseAt() once it lands. */
-    using Body = std::function<std::optional<Cycle>(Cycle)>;
+     *  message leg calls releaseAt() once it lands.  Sized for a
+     *  store body: this, core, address, store id, the primary-miss
+     *  flag and a StoreDone. */
+    using Body = Callback<std::optional<Cycle>(Cycle), 80>;
 
     explicit LineSerializer(EventQueue &eq) : eq_(eq) {}
 
@@ -65,14 +67,18 @@ class LineSerializer
     struct LineState
     {
         bool busy = false;
-        std::deque<Body> queue;
+        /** Bodies waiting for the line, oldest at queueHead.  A vector
+         *  allocates nothing until a second transaction queues (a
+         *  std::deque allocates on construction). */
+        std::vector<Body> queue;
+        std::size_t queueHead = 0;
     };
 
     void dispatch(LineAddr line, LineState &state, Body body);
     void release(LineAddr line);
 
     EventQueue &eq_;
-    std::unordered_map<LineAddr, LineState> lines_;
+    LineMap<LineState> lines_;
 };
 
 /**
@@ -121,7 +127,7 @@ class DirectoryCapacity
 
   private:
     CacheArray array_;
-    std::unordered_map<LineAddr, bool> evictBuffer_;
+    LineSet evictBuffer_;
     Counter &evictions_;
     Histogram &evictBufferHist_;
     unsigned evictBufferCap_;

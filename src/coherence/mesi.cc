@@ -30,9 +30,7 @@ MesiProtocol::MesiProtocol(const SystemConfig &cfg, EventQueue &eq,
 MesiProtocol::Node *
 MesiProtocol::findNode(CoreId core, LineAddr line)
 {
-    auto &map = nodes_[static_cast<unsigned>(core)];
-    auto it = map.find(line);
-    return it == map.end() ? nullptr : &it->second;
+    return nodes_[static_cast<unsigned>(core)].find(line);
 }
 
 const MesiProtocol::Node *
@@ -49,51 +47,50 @@ MesiProtocol::node(CoreId core, LineAddr line)
     return *n;
 }
 
-template <typename Done>
-bool
-MesiProtocol::mshrAdmit(CoreId core, LineAddr line, Done *done,
-                        std::function<void()> retry)
+void
+MesiProtocol::load(CoreId core, Addr addr, LoadDone done)
 {
-    if (mshr_.has(core, line))
-        return true; // Secondary miss / retry of the in-flight primary.
-    if (mshr_.full(core)) {
-        mshr_.defer(core, std::move(retry));
-        return false;
-    }
-    mshr_.enter(core, line);
-    *done = [this, core, line,
-             inner = std::move(*done)](auto &&...args) {
-        mshr_.leave(core, line);
-        inner(std::forward<decltype(args)>(args)...);
-    };
-    return true;
+    issueLoad(core, addr, std::move(done), false);
 }
 
 void
-MesiProtocol::load(CoreId core, Addr addr, LoadDone done)
+MesiProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
+{
+    issueStore(core, addr, store, std::move(done), false);
+}
+
+void
+MesiProtocol::issueLoad(CoreId core, Addr addr, LoadDone done, bool primary)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->st != St::I) {
         hits_.inc();
         arrays_[static_cast<unsigned>(core)].touch(line);
         const StoreId value = n->words[wordOf(addr)];
-        eq_.scheduleIn(cfg_.privLatency, [done, value, this] {
-            done(eq_.now(), value);
+        eq_.scheduleIn(cfg_.privLatency,
+                       mshr_.completion(core, line, primary,
+                                        std::move(done), value));
+        return;
+    }
+    if (!mshr_.admit(core, line, &primary)) {
+        mshr_.defer(core, [this, addr, core,
+                           done = std::move(done)]() mutable {
+            load(core, addr, std::move(done));
         });
         return;
     }
-    if (!mshrAdmit(core, line, &done,
-                   [this, core, addr, done] { load(core, addr, done); }))
-        return;
     misses_.inc();
-    auto body = [this, core, addr, done](Cycle t) {
-        return loadTxn(core, addr, done, t);
-    };
-    submitTxn(core, line, std::move(body), eq_.now() + cfg_.privLatency);
+    submitTxn(core, line,
+              [this, addr, core, primary,
+               done = std::move(done)](Cycle t) mutable {
+                  return loadTxn(core, addr, std::move(done), primary, t);
+              },
+              eq_.now() + cfg_.privLatency);
 }
 
 void
-MesiProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
+MesiProtocol::issueStore(CoreId core, Addr addr, StoreId store,
+                         StoreDone done, bool primary)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line);
@@ -104,22 +101,30 @@ MesiProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
         n->words[wordOf(addr)] = store;
         hooks_->onStoreCommitted(core, line, eq_.now());
         logStore(core, addr, store);
-        eq_.scheduleIn(cfg_.privLatency, [done, this] { done(eq_.now()); });
+        eq_.scheduleIn(cfg_.privLatency,
+                       mshr_.completion(core, line, primary, std::move(done)));
         return;
     }
-    if (!mshrAdmit(core, line, &done, [this, core, addr, store, done] {
-            this->store(core, addr, store, done);
-        }))
+    if (!mshr_.admit(core, line, &primary)) {
+        mshr_.defer(core, [this, addr, store, core,
+                           done = std::move(done)]() mutable {
+            this->store(core, addr, store, std::move(done));
+        });
         return;
-    auto body = [this, core, addr, store, done](Cycle t) {
-        return storeTxn(core, addr, store, done, t);
-    };
-    submitTxn(core, line, std::move(body), eq_.now() + cfg_.privLatency);
+    }
+    submitTxn(core, line,
+              [this, addr, store, core, primary,
+               done = std::move(done)](Cycle t) mutable {
+                  return storeTxn(core, addr, store, std::move(done),
+                                  primary, t);
+              },
+              eq_.now() + cfg_.privLatency);
 }
 
+template <typename Body>
 void
-MesiProtocol::submitTxn(CoreId core, LineAddr line,
-                        LineSerializer::Body body, Cycle departAt)
+MesiProtocol::submitTxn(CoreId core, LineAddr line, Body body,
+                        Cycle departAt)
 {
     bus_.send(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
               cfg_.ctrlMsgBytes, departAt,
@@ -129,12 +134,14 @@ MesiProtocol::submitTxn(CoreId core, LineAddr line,
 }
 
 std::optional<Cycle>
-MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
+MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool primary,
+                      Cycle t)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->st != St::I) {
         // Raced: an earlier queued transaction already fetched it.
-        done(t + dirLatency_, n->words[wordOf(addr)]);
+        mshr_.complete(core, line, primary, done, t + dirLatency_,
+                 n->words[wordOf(addr)]);
         return t + dirLatency_;
     }
     if (auto victim = capacity_.allocate(line))
@@ -168,13 +175,15 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
         const StoreId value = words[wordOf(addr)];
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
                   cfg_.ctrlMsgBytes, t,
-                  [this, o, core, line, value, done, floor, wasM] {
+                  [this, line, value, floor, o, core, wasM, primary,
+                   done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
                       // The data reply leaves first (critical path)...
                       const Cycle dataAt = bus_.send(
                           bus_.coreNode(o), bus_.coreNode(core),
                           lineBytes + cfg_.ctrlMsgBytes, ready,
-                          [this, done, value] { done(eq_.now(), value); });
+                          mshr_.completion(core, line, primary,
+                                           std::move(done), value));
                       if (Node *n = findNode(core, line))
                           n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                       if (wasM) {
@@ -202,14 +211,14 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
             capacity_.setPinned(line, true);
             const StoreId value = words[wordOf(addr)];
             fillTiming(line, t, false,
-                       [this, core, line, value, done](Cycle at) {
+                       [this, line, value, core, primary,
+                        done = std::move(done)](Cycle at) mutable {
                            const Cycle dataAt = bus_.send(
                                bus_.bankNode(bankOf(line)),
                                bus_.coreNode(core),
                                lineBytes + cfg_.ctrlMsgBytes, at,
-                               [this, done, value] {
-                                   done(eq_.now(), value);
-                               });
+                               mshr_.completion(core, line, primary,
+                                                std::move(done), value));
                            if (Node *n = findNode(core, line))
                                n->dataReadyAt =
                                    std::max(n->dataReadyAt, dataAt);
@@ -236,12 +245,14 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
         const StoreId value = words[wordOf(addr)];
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(s),
                   cfg_.ctrlMsgBytes, t,
-                  [this, s, core, line, value, done, floor] {
+                  [this, line, value, floor, s, core, primary,
+                   done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
                       const Cycle dataAt = bus_.send(
                           bus_.coreNode(s), bus_.coreNode(core),
                           lineBytes + cfg_.ctrlMsgBytes, ready,
-                          [this, done, value] { done(eq_.now(), value); });
+                          mshr_.completion(core, line, primary,
+                                           std::move(done), value));
                       if (Node *n = findNode(core, line))
                           n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                       finishTxn(line, dataAt);
@@ -260,27 +271,32 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
     insertResident(core, line, t);
     capacity_.setPinned(line, true);
     const StoreId value = words[wordOf(addr)];
-    fillTiming(line, t, true, [this, core, line, value, done](Cycle at) {
-        const Cycle dataAt = bus_.send(
-            bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-            lineBytes + cfg_.ctrlMsgBytes, at,
-            [this, done, value] { done(eq_.now(), value); });
-        if (Node *n = findNode(core, line))
-            n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-        finishTxn(line, dataAt);
-    });
+    fillTiming(line, t, true,
+               [this, line, value, core, primary,
+                done = std::move(done)](Cycle at) mutable {
+                   const Cycle dataAt = bus_.send(
+                       bus_.bankNode(bankOf(line)), bus_.coreNode(core),
+                       lineBytes + cfg_.ctrlMsgBytes, at,
+                       mshr_.completion(core, line, primary,
+                                        std::move(done), value));
+                   if (Node *n = findNode(core, line))
+                       n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
+                   finishTxn(line, dataAt);
+               });
     return std::nullopt;
 }
 
 std::optional<Cycle>
 MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
-                       StoreDone done, Cycle t)
+                       StoreDone done, bool primary, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    if (hooks_->tryDeferStoreCommit(core, line,
-                                    [this, core, addr, store, done] {
-            this->store(core, addr, store, done);
-        })) {
+    if (!hooks_->storeMayCommit(core, line)) {
+        hooks_->addStoreWaiter(core, line,
+                               [this, addr, store, core, primary,
+                                done = std::move(done)]() mutable {
+            issueStore(core, addr, store, std::move(done), primary);
+        });
         return t + dirLatency_;
     }
     if (Node *n = findNode(core, line);
@@ -290,7 +306,7 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         n->words[wordOf(addr)] = store;
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
-        done(t + dirLatency_);
+        mshr_.complete(core, line, primary, done, t + dirLatency_);
         return t + dirLatency_;
     }
     if (auto victim = capacity_.allocate(line))
@@ -322,12 +338,14 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         capacity_.setPinned(line, true);
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
                   cfg_.ctrlMsgBytes, t,
-                  [this, o, core, line, done, floor] {
+                  [this, line, floor, o, core, primary,
+                   done = std::move(done)]() mutable {
                       const Cycle ready = std::max(eq_.now(), floor);
                       const Cycle dataAt = bus_.send(
                           bus_.coreNode(o), bus_.coreNode(core),
                           lineBytes + cfg_.ctrlMsgBytes, ready,
-                          [this, done] { done(eq_.now()); });
+                          mshr_.completion(core, line, primary,
+                                           std::move(done)));
                       if (Node *n = findNode(core, line))
                           n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                       finishTxn(line, dataAt);
@@ -345,12 +363,7 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
                 ++numInv;
         const TxnTable::Id id = txns_.begin(
             line, core, numInv + 1,
-            [this, core, line, done](Cycle readyAt) {
-                if (Node *n = findNode(core, line))
-                    n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
-                done(readyAt);
-                finishTxn(line, readyAt);
-            });
+            upgradeDone(core, line, primary, std::move(done)));
         sendInvalidations(line, core, core, t, id);
         bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
                   cfg_.ctrlMsgBytes, t,
@@ -386,12 +399,7 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
                 ++numInv;
         const TxnTable::Id id = txns_.begin(
             line, core, numInv + 1,
-            [this, core, line, done](Cycle readyAt) {
-                if (Node *n = findNode(core, line))
-                    n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
-                done(readyAt);
-                finishTxn(line, readyAt);
-            });
+            upgradeDone(core, line, primary, std::move(done)));
         sendInvalidations(line, core, core, t, id);
         e.sharers = 0;
         e.owner = core;
@@ -404,7 +412,7 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         hooks_->onStoreCommitted(core, line, t);
         logStore(core, addr, store);
         capacity_.setPinned(line, true);
-        fillTiming(line, t, false, [this, core, line, id](Cycle at) {
+        fillTiming(line, t, false, [this, line, core, id](Cycle at) {
             bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
                       lineBytes + cfg_.ctrlMsgBytes, at,
                       [this, id] { txns_.legDone(id, eq_.now()); });
@@ -425,25 +433,41 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
     hooks_->onStoreCommitted(core, line, t);
     logStore(core, addr, store);
     capacity_.setPinned(line, true);
-    fillTiming(line, t, true, [this, core, line, done](Cycle at) {
-        const Cycle dataAt = bus_.send(
-            bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-            lineBytes + cfg_.ctrlMsgBytes, at,
-            [this, done] { done(eq_.now()); });
-        if (Node *n = findNode(core, line))
-            n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-        finishTxn(line, dataAt);
-    });
+    fillTiming(line, t, true,
+               [this, line, core, primary,
+                done = std::move(done)](Cycle at) mutable {
+                   const Cycle dataAt = bus_.send(
+                       bus_.bankNode(bankOf(line)), bus_.coreNode(core),
+                       lineBytes + cfg_.ctrlMsgBytes, at,
+                       mshr_.completion(core, line, primary, std::move(done)));
+                   if (Node *n = findNode(core, line))
+                       n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
+                   finishTxn(line, dataAt);
+               });
     return std::nullopt;
 }
 
+TxnTable::Completion
+MesiProtocol::upgradeDone(CoreId core, LineAddr line, bool primary,
+                          StoreDone done)
+{
+    return [this, line, core, primary,
+            done = std::move(done)](Cycle readyAt) mutable {
+        if (Node *n = findNode(core, line))
+            n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
+        mshr_.complete(core, line, primary, done, readyAt);
+        finishTxn(line, readyAt);
+    };
+}
+
+template <typename Finish>
 void
 MesiProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                         std::function<void(Cycle)> finish)
+                         Finish finish)
 {
     llc_.accessAsync(line, t,
                      [this, line, fromNvm,
-                      finish = std::move(finish)](Cycle at) {
+                      finish = std::move(finish)](Cycle at) mutable {
                          if (fromNvm)
                              at = nvm_.read(line, at);
                          finish(at);
@@ -548,11 +572,9 @@ MesiProtocol::teardownEntry(LineAddr victim, Cycle t)
 void
 MesiProtocol::maybeReleaseEntry(LineAddr line)
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end())
-        return;
-    if (it->second.owner == invalidCore && it->second.sharers == 0) {
-        entries_.erase(it);
+    const Entry *e = entries_.find(line);
+    if (e && e->owner == invalidCore && e->sharers == 0) {
+        entries_.erase(line);
         capacity_.release(line);
     }
 }

@@ -24,7 +24,6 @@
 #define TSOPER_COHERENCE_MESI_HH
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/directory.hh"
@@ -37,6 +36,7 @@
 #include "noc/message_bus.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/line_map.hh"
 #include "sim/stats.hh"
 
 namespace tsoper
@@ -100,29 +100,35 @@ class MesiProtocol : public CoherenceProtocol
     const Node *findNode(CoreId core, LineAddr line) const;
     Node &node(CoreId core, LineAddr line);
 
-    void submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
-                   Cycle departAt);
+    /** load()/store() with the request's MSHR state (same contract
+     *  as SlcProtocol's: the leg that completes a primary miss frees
+     *  its register). */
+    void issueLoad(CoreId core, Addr addr, LoadDone done, bool primary);
+    void issueStore(CoreId core, Addr addr, StoreId store, StoreDone done,
+                    bool primary);
+
+    /** Completion of a store that waits on invalidation acks. */
+    TxnTable::Completion upgradeDone(CoreId core, LineAddr line,
+                                     bool primary, StoreDone done);
+
+    template <typename Body>
+    void submitTxn(CoreId core, LineAddr line, Body body, Cycle departAt);
 
     /** Transaction bodies (run at directory dispatch).  nullopt means
      *  the body deferred: the line is held until the last timing leg
      *  lands and finishTxn frees it. */
     std::optional<Cycle> loadTxn(CoreId core, Addr addr, LoadDone done,
-                                 Cycle t);
+                                 bool primary, Cycle t);
     std::optional<Cycle> storeTxn(CoreId core, Addr addr, StoreId store,
-                                  StoreDone done, Cycle t);
-
-    /** MSHR gate for the miss paths (same contract as SlcProtocol's). */
-    template <typename Done>
-    bool mshrAdmit(CoreId core, LineAddr line, Done *done,
-                   std::function<void()> retry);
+                                  StoreDone done, bool primary, Cycle t);
 
     /**
      * Timing tail of a memory fill: async LLC bank access, an NVM read
-     * behind it on an LLC miss.  @p finish runs at the directory with
-     * the cycle the data is at the bank.
+     * behind it on an LLC miss.  @p finish (a void(Cycle) callable)
+     * runs at the directory with the cycle the data is at the bank.
      */
-    void fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                    std::function<void(Cycle)> finish);
+    template <typename Finish>
+    void fillTiming(LineAddr line, Cycle t, bool fromNvm, Finish finish);
 
     /** Retire a deferred transaction: unpin the directory entry and
      *  free the line's serializer slot at @p at. */
@@ -155,9 +161,9 @@ class MesiProtocol : public CoherenceProtocol
     unsigned banks_;
     Cycle dirLatency_ = 6;
 
-    std::vector<std::unordered_map<LineAddr, Node>> nodes_;
+    std::vector<LineMap<Node>> nodes_;
     std::vector<CacheArray> arrays_;
-    std::unordered_map<LineAddr, Entry> entries_;
+    LineMap<Entry> entries_;
 
     Counter &hits_;
     Counter &misses_;

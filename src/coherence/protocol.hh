@@ -14,9 +14,8 @@
 #ifndef TSOPER_COHERENCE_PROTOCOL_HH
 #define TSOPER_COHERENCE_PROTOCOL_HH
 
-#include <functional>
-
 #include "mem/nvm.hh"
+#include "sim/callback.hh"
 #include "sim/store_log.hh"
 #include "sim/types.hh"
 
@@ -82,20 +81,26 @@ class ProtocolHooks
     }
 
     /**
-     * Asked at the serialization instant of a store transaction,
-     * *before* it commits: if the store must not commit yet (its line
-     * sits in a frozen atomic group / closed epoch — the gate may have
-     * opened and closed again while the request was in flight), the
-     * hook takes ownership of @p retry, runs it when the block clears,
-     * and returns true.
+     * May a store by @p core to @p line commit now?  False when the
+     * line belongs to a frozen atomic group (§II-A) or a closed,
+     * unpersisted BSP epoch.  The core asks before its store-buffer
+     * head issues; the protocol asks again at the store transaction's
+     * serialization instant, before it commits (the gate may have
+     * opened and closed again while the request was in flight).
      */
     virtual bool
-    tryDeferStoreCommit(CoreId core, LineAddr line,
-                        std::function<void()> retry)
+    storeMayCommit(CoreId core, LineAddr line)
     {
-        (void)core; (void)line; (void)retry;
-        return false;
+        (void)core; (void)line;
+        return true;
     }
+
+    /**
+     * Take ownership of @p retry and run it once a blocked store may
+     * make progress.  Only called after storeMayCommit returned false.
+     */
+    virtual void addStoreWaiter(CoreId core, LineAddr line,
+                                InlineCallback retry);
 
     /**
      * A store by @p core committed into its private cache at the
@@ -184,10 +189,15 @@ struct ProtocolComplexity
 class CoherenceProtocol
 {
   public:
-    /** Load completion: delivery cycle and the observed word value. */
-    using LoadDone = std::function<void(Cycle, StoreId)>;
-    /** Store completion: the cycle write permission/retire happened. */
-    using StoreDone = std::function<void(Cycle)>;
+    /** Load completion: delivery cycle and the observed word value.
+     *  Move-only and moved, never copied, along the access path; the
+     *  capacity fits the core's (this, address) captures and keeps
+     *  every protocol leg that carries one within InlineCallback. */
+    using LoadDone = Callback<void(Cycle, StoreId), 24>;
+    /** Store completion: the cycle write permission/retire happened.
+     *  Sized for the core's direct sync stores, which carry a
+     *  std::function continuation. */
+    using StoreDone = Callback<void(Cycle), 40>;
 
     virtual ~CoherenceProtocol() = default;
 

@@ -35,9 +35,7 @@ SlcProtocol::SlcProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
 SlcProtocol::Node *
 SlcProtocol::findNode(CoreId core, LineAddr line)
 {
-    auto &map = nodes_[static_cast<unsigned>(core)];
-    auto it = map.find(line);
-    return it == map.end() ? nullptr : &it->second;
+    return nodes_[static_cast<unsigned>(core)].find(line);
 }
 
 const SlcProtocol::Node *
@@ -58,28 +56,20 @@ SlcProtocol::node(CoreId core, LineAddr line)
 // Public access paths
 // --------------------------------------------------------------------
 
-template <typename Done>
-bool
-SlcProtocol::mshrAdmit(CoreId core, LineAddr line, Done *done,
-                       std::function<void()> retry)
+void
+SlcProtocol::load(CoreId core, Addr addr, LoadDone done)
 {
-    if (mshr_.has(core, line))
-        return true; // Secondary miss / retry of the in-flight primary.
-    if (mshr_.full(core)) {
-        mshr_.defer(core, std::move(retry));
-        return false;
-    }
-    mshr_.enter(core, line);
-    *done = [this, core, line,
-             inner = std::move(*done)](auto &&...args) {
-        mshr_.leave(core, line);
-        inner(std::forward<decltype(args)>(args)...);
-    };
-    return true;
+    issueLoad(core, addr, std::move(done), false);
 }
 
 void
-SlcProtocol::load(CoreId core, Addr addr, LoadDone done)
+SlcProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
+{
+    issueStore(core, addr, store, std::move(done), false);
+}
+
+void
+SlcProtocol::issueLoad(CoreId core, Addr addr, LoadDone done, bool primary)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line); n && n->valid) {
@@ -87,23 +77,30 @@ SlcProtocol::load(CoreId core, Addr addr, LoadDone done)
         if (!n->evicted)
             arrays_[static_cast<unsigned>(core)].touch(line);
         const StoreId value = n->words[wordOf(addr)];
-        eq_.scheduleIn(cfg_.privLatency, [done, value, this] {
-            done(eq_.now(), value);
+        eq_.scheduleIn(cfg_.privLatency,
+                       mshr_.completion(core, line, primary,
+                                        std::move(done), value));
+        return;
+    }
+    if (!mshr_.admit(core, line, &primary)) {
+        mshr_.defer(core, [this, addr, core,
+                           done = std::move(done)]() mutable {
+            load(core, addr, std::move(done));
         });
         return;
     }
-    if (!mshrAdmit(core, line, &done,
-                   [this, core, addr, done] { load(core, addr, done); }))
-        return;
     misses_.inc();
-    auto body = [this, core, addr, done](Cycle t) {
-        return loadTxn(core, addr, done, t);
-    };
-    submitTxn(core, line, std::move(body), eq_.now() + cfg_.privLatency);
+    submitTxn(core, line,
+              [this, addr, core, primary,
+               done = std::move(done)](Cycle t) mutable {
+                  return loadTxn(core, addr, std::move(done), primary, t);
+              },
+              eq_.now() + cfg_.privLatency);
 }
 
 void
-SlcProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
+SlcProtocol::issueStore(CoreId core, Addr addr, StoreId store,
+                        StoreDone done, bool primary)
 {
     const LineAddr line = lineOf(addr);
     if (Node *n = findNode(core, line);
@@ -117,21 +114,29 @@ SlcProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
         n->dirty = true;
         hooks_->onStoreCommitted(core, line, eq_.now());
         logStore(core, addr, store);
-        eq_.scheduleIn(cfg_.privLatency, [done, this] { done(eq_.now()); });
+        eq_.scheduleIn(cfg_.privLatency,
+                       mshr_.completion(core, line, primary, std::move(done)));
         return;
     }
-    if (!mshrAdmit(core, line, &done, [this, core, addr, store, done] {
-            this->store(core, addr, store, done);
-        }))
+    if (!mshr_.admit(core, line, &primary)) {
+        mshr_.defer(core, [this, addr, store, core,
+                           done = std::move(done)]() mutable {
+            this->store(core, addr, store, std::move(done));
+        });
         return;
-    auto body = [this, core, addr, store, done](Cycle t) {
-        return storeTxn(core, addr, store, done, t);
-    };
-    submitTxn(core, line, std::move(body), eq_.now() + cfg_.privLatency);
+    }
+    submitTxn(core, line,
+              [this, addr, store, core, primary,
+               done = std::move(done)](Cycle t) mutable {
+                  return storeTxn(core, addr, store, std::move(done),
+                                  primary, t);
+              },
+              eq_.now() + cfg_.privLatency);
 }
 
+template <typename Body>
 void
-SlcProtocol::submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
+SlcProtocol::submitTxn(CoreId core, LineAddr line, Body body,
                        Cycle departAt)
 {
     bus_.send(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
@@ -142,8 +147,7 @@ SlcProtocol::submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
 }
 
 bool
-SlcProtocol::mustWaitForOwnNode(CoreId core, LineAddr line,
-                                std::function<void()> retry, Cycle t,
+SlcProtocol::mustWaitForOwnNode(CoreId core, LineAddr line, Cycle t,
                                 bool *relinked)
 {
     Node *n = findNode(core, line);
@@ -154,7 +158,6 @@ SlcProtocol::mustWaitForOwnNode(CoreId core, LineAddr line,
         // line belongs to a frozen AG whose dependence set must not
         // grow: the access stalls until the version/group clears
         // (§II-A multiversioning).
-        nodeWaiters_[waiterKey(core, line)].push_back(std::move(retry));
         return true;
     }
     // Stale clean copy: splice it and proceed as a plain miss.  If it
@@ -172,26 +175,33 @@ SlcProtocol::mustWaitForOwnNode(CoreId core, LineAddr line,
 // --------------------------------------------------------------------
 
 std::optional<Cycle>
-SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
+SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool primary,
+                     Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    if (entries_[line].zombie) {
-        zombieWaiters_[line].push_back([this, core, addr, done] {
-            load(core, addr, done);
+    // Parks this load until the line (or the core's own node) clears.
+    const auto retry = [&] {
+        return InlineCallback([this, addr, core, primary,
+                               done = std::move(done)]() mutable {
+            issueLoad(core, addr, std::move(done), primary);
         });
+    };
+    if (entries_[line].zombie) {
+        zombieWaiters_[line].push_back(retry());
         return t + dirLatency_;
     }
     if (Node *n = findNode(core, line); n && n->valid) {
         // Raced with our own eviction-buffer revival or a queued
         // upgrade: serve as a hit.
         const StoreId value = n->words[wordOf(addr)];
-        done(t + dirLatency_, value);
+        mshr_.complete(core, line, primary, done, t + dirLatency_, value);
         return t + dirLatency_;
     }
-    auto retry = [this, core, addr, done] { load(core, addr, done); };
     bool relinked = false;
-    if (mustWaitForOwnNode(core, line, retry, t, &relinked))
+    if (mustWaitForOwnNode(core, line, t, &relinked)) {
+        nodeWaiters_[waiterKey(core, line)].push_back(retry());
         return t + dirLatency_;
+    }
 
     if (auto victim = capacity_.allocate(line))
         teardownEntry(*victim, t);
@@ -225,15 +235,14 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
         const StoreId value = words[wordOf(addr)];
         const Cycle freeNoEarlier = t + dirLatency_;
         fillTiming(line, t, fromNvm,
-                   [this, core, line, value, done,
-                    freeNoEarlier](Cycle at) {
+                   [this, line, value, freeNoEarlier, core, primary,
+                    done = std::move(done)](Cycle at) mutable {
                        const Cycle dataAt = bus_.send(
                            bus_.bankNode(bankOf(line)),
                            bus_.coreNode(core),
                            lineBytes + cfg_.ctrlMsgBytes, at,
-                           [this, done, value] {
-                               done(eq_.now(), value);
-                           });
+                           mshr_.completion(core, line, primary,
+                                            std::move(done), value));
                        if (Node *n = findNode(core, line))
                            n->dataReadyAt =
                                std::max(n->dataReadyAt, dataAt);
@@ -283,13 +292,15 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
     const StoreId value = words[wordOf(addr)];
     bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
               cfg_.ctrlMsgBytes, t,
-              [this, h, core, line, value, done, floor, wb] {
+              [this, line, value, floor, h, core, wb, primary,
+               done = std::move(done)]() mutable {
                   const Cycle ready = std::max(eq_.now(), floor);
                   // The data reply leaves first (critical path)...
                   const Cycle dataAt = bus_.send(
                       bus_.coreNode(h), bus_.coreNode(core),
                       lineBytes + cfg_.ctrlMsgBytes, ready,
-                      [this, done, value] { done(eq_.now(), value); });
+                      mshr_.completion(core, line, primary,
+                                       std::move(done), value));
                   if (Node *n = findNode(core, line))
                       n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
                   if (wb) {
@@ -307,22 +318,29 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, Cycle t)
 
 std::optional<Cycle>
 SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
-                      Cycle t)
+                      bool primary, Cycle t)
 {
     const LineAddr line = lineOf(addr);
-    if (entries_[line].zombie) {
-        zombieWaiters_[line].push_back([this, core, addr, store, done] {
-            this->store(core, addr, store, done);
+    // Parks this store until the line, the frozen group or the core's
+    // own node clears.
+    const auto retry = [&] {
+        return InlineCallback([this, addr, store, core, primary,
+                               done = std::move(done)]() mutable {
+            issueStore(core, addr, store, std::move(done), primary);
         });
+    };
+    if (entries_[line].zombie) {
+        zombieWaiters_[line].push_back(retry());
         return t + dirLatency_;
     }
-    auto retry = [this, core, addr, store, done] {
-        this->store(core, addr, store, done);
-    };
-    if (hooks_->tryDeferStoreCommit(core, line, retry))
+    if (!hooks_->storeMayCommit(core, line)) {
+        hooks_->addStoreWaiter(core, line, retry());
         return t + dirLatency_;
-    if (mustWaitForOwnNode(core, line, retry, t))
+    }
+    if (mustWaitForOwnNode(core, line, t)) {
+        nodeWaiters_[waiterKey(core, line)].push_back(retry());
         return t + dirLatency_;
+    }
     // (A spliced stale clean member needs no onNodeRelinked here: the
     // store-commit hook below recomputes the dependence state.)
 
@@ -367,7 +385,7 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
         const Cycle permissionAt =
             bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
                       cfg_.ctrlMsgBytes, t,
-                      [this, done] { done(eq_.now()); });
+                      mshr_.completion(core, line, primary, std::move(done)));
         n->dataReadyAt = std::max(n->dataReadyAt, permissionAt);
     } else {
         misses_.inc();
@@ -389,13 +407,14 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
             capacity_.setPinned(line, true);
             const Cycle freeNoEarlier = t + dirLatency_;
             fillTiming(line, t, fromNvm,
-                       [this, core, line, done,
-                        freeNoEarlier](Cycle at) {
+                       [this, line, freeNoEarlier, core, primary,
+                        done = std::move(done)](Cycle at) mutable {
                            const Cycle dataAt = bus_.send(
                                bus_.bankNode(bankOf(line)),
                                bus_.coreNode(core),
                                lineBytes + cfg_.ctrlMsgBytes, at,
-                               [this, done] { done(eq_.now()); });
+                               mshr_.completion(core, line, primary,
+                                                std::move(done)));
                            if (Node *p = findNode(core, line))
                                p->dataReadyAt =
                                    std::max(p->dataReadyAt, dataAt);
@@ -427,12 +446,14 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
             insertResident(core, line, t);
             bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
                       cfg_.ctrlMsgBytes, t,
-                      [this, h, core, line, done, floor] {
+                      [this, line, floor, h, core, primary,
+                       done = std::move(done)]() mutable {
                           const Cycle ready = std::max(eq_.now(), floor);
                           const Cycle dataAt = bus_.send(
                               bus_.coreNode(h), bus_.coreNode(core),
                               lineBytes + cfg_.ctrlMsgBytes, ready,
-                              [this, done] { done(eq_.now()); });
+                              mshr_.completion(core, line, primary,
+                                               std::move(done)));
                           if (Node *p = findNode(core, line))
                               p->dataReadyAt =
                                   std::max(p->dataReadyAt, dataAt);
@@ -455,13 +476,13 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
     return t + dirLatency_;
 }
 
+template <typename Finish>
 void
-SlcProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                        std::function<void(Cycle)> finish)
+SlcProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm, Finish finish)
 {
     llc_.accessAsync(line, t,
                      [this, line, fromNvm,
-                      finish = std::move(finish)](Cycle at) {
+                      finish = std::move(finish)](Cycle at) mutable {
                          if (fromNvm)
                              at = nvm_.read(line, at);
                          finish(at);
@@ -484,10 +505,9 @@ SlcProtocol::prependNode(CoreId core, LineAddr line)
     if (e.head != invalidCore)
         node(e.head, line).bwd = core;
     e.head = core;
-    auto [it, ok] =
-        nodes_[static_cast<unsigned>(core)].emplace(line, nn);
+    auto [n, ok] = nodes_[static_cast<unsigned>(core)].tryEmplace(line, nn);
     tsoper_assert(ok);
-    return it->second;
+    return *n;
 }
 
 void
@@ -608,9 +628,9 @@ SlcProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
 void
 SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
 {
-    auto eit = entries_.find(victim);
-    tsoper_assert(eit != entries_.end(), "teardown of absent entry");
-    Entry &e = eit->second;
+    Entry *found = entries_.find(victim);
+    tsoper_assert(found, "teardown of absent entry");
+    Entry &e = *found;
     tsoper_assert(!e.zombie, "double teardown");
     e.zombie = true;
     TSOPER_TRACE(Slc, t, "directory eviction of line 0x" << std::hex
@@ -655,18 +675,17 @@ void
 SlcProtocol::maybeReleaseEntry(LineAddr line, Cycle t)
 {
     (void)t;
-    auto eit = entries_.find(line);
-    if (eit == entries_.end() || eit->second.head != invalidCore)
+    const Entry *e = entries_.find(line);
+    if (!e || e->head != invalidCore)
         return;
-    const bool wasZombie = eit->second.zombie;
+    const bool wasZombie = e->zombie;
     capacity_.release(line);
     if (wasZombie)
         capacity_.evictBufferLeave(line);
-    entries_.erase(eit);
-    auto wit = zombieWaiters_.find(line);
-    if (wit != zombieWaiters_.end()) {
-        auto waiters = std::move(wit->second);
-        zombieWaiters_.erase(wit);
+    entries_.erase(line);
+    if (auto *waiting = zombieWaiters_.find(line)) {
+        auto waiters = std::move(*waiting);
+        zombieWaiters_.erase(line);
         for (auto &w : waiters)
             eq_.scheduleIn(0, std::move(w));
     }
@@ -675,11 +694,12 @@ SlcProtocol::maybeReleaseEntry(LineAddr line, Cycle t)
 void
 SlcProtocol::notifyNodeWaiters(CoreId core, LineAddr line)
 {
-    auto it = nodeWaiters_.find(waiterKey(core, line));
-    if (it == nodeWaiters_.end())
+    const std::uint64_t key = waiterKey(core, line);
+    auto *waiting = nodeWaiters_.find(key);
+    if (!waiting)
         return;
-    auto waiters = std::move(it->second);
-    nodeWaiters_.erase(it);
+    auto waiters = std::move(*waiting);
+    nodeWaiters_.erase(key);
     for (auto &w : waiters)
         eq_.scheduleIn(0, std::move(w));
 }
@@ -826,11 +846,11 @@ SlcProtocol::releaseCleanMember(CoreId core, LineAddr line, Cycle now)
 unsigned
 SlcProtocol::listLength(LineAddr line) const
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end())
+    const Entry *e = entries_.find(line);
+    if (!e)
         return 0;
     unsigned len = 0;
-    CoreId cur = it->second.head;
+    CoreId cur = e->head;
     while (cur != invalidCore) {
         ++len;
         cur = findNode(cur, line)->fwd;
@@ -841,11 +861,11 @@ SlcProtocol::listLength(LineAddr line) const
 unsigned
 SlcProtocol::validListLength(LineAddr line) const
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end())
+    const Entry *e = entries_.find(line);
+    if (!e)
         return 0;
     unsigned len = 0;
-    CoreId cur = it->second.head;
+    CoreId cur = e->head;
     while (cur != invalidCore) {
         const Node *n = findNode(cur, line);
         if (n->valid)
@@ -853,16 +873,6 @@ SlcProtocol::validListLength(LineAddr line) const
         cur = n->fwd;
     }
     return len;
-}
-
-void
-SlcProtocol::forEachNode(
-    const std::function<void(CoreId, LineAddr, bool, bool)> &fn) const
-{
-    for (unsigned c = 0; c < nodes_.size(); ++c) {
-        for (const auto &[line, n] : nodes_[c])
-            fn(static_cast<CoreId>(c), line, n.dirty, n.valid);
-    }
 }
 
 void

@@ -32,8 +32,6 @@
 #ifndef TSOPER_COHERENCE_SLC_HH
 #define TSOPER_COHERENCE_SLC_HH
 
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/directory.hh"
@@ -46,6 +44,7 @@
 #include "noc/message_bus.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/line_map.hh"
 #include "sim/stats.hh"
 
 namespace tsoper
@@ -115,11 +114,6 @@ class SlcProtocol : public CoherenceProtocol
     /** Number of *valid* nodes on @p line's list (coherence view). */
     unsigned validListLength(LineAddr line) const;
 
-    /** Walk every existing node (testing / final drain). */
-    void forEachNode(
-        const std::function<void(CoreId, LineAddr, bool dirty,
-                                 bool valid)> &fn) const;
-
   private:
     struct Node
     {
@@ -147,51 +141,52 @@ class SlcProtocol : public CoherenceProtocol
         return static_cast<unsigned>(line) & (banks_ - 1);
     }
 
-    /** Dispatch a miss/upgrade transaction to the directory. */
-    void submitTxn(CoreId core, LineAddr line, LineSerializer::Body body,
-                   Cycle departAt);
+    /**
+     * load()/store() with the request's MSHR state: @p primary is true
+     * when this access holds (core, line)'s MSHR register (claimed by
+     * Mshr::admit), which the leg that completes it frees
+     * (Mshr::complete).  Retries of a parked access re-enter here with
+     * the flag they were parked with.
+     */
+    void issueLoad(CoreId core, Addr addr, LoadDone done, bool primary);
+    void issueStore(CoreId core, Addr addr, StoreId store, StoreDone done,
+                    bool primary);
+
+    /** Dispatch a miss/upgrade transaction (a LineSerializer::Body
+     *  callable) to the directory. */
+    template <typename Body>
+    void submitTxn(CoreId core, LineAddr line, Body body, Cycle departAt);
 
     /** Transaction bodies (run at directory dispatch).  nullopt means
      *  the body deferred: a memory fill holds the line until the LLC
      *  pipe reply frees it via LineSerializer::releaseAt. */
     std::optional<Cycle> loadTxn(CoreId core, Addr addr, LoadDone done,
-                                 Cycle t);
+                                 bool primary, Cycle t);
     std::optional<Cycle> storeTxn(CoreId core, Addr addr, StoreId store,
-                                  StoreDone done, Cycle t);
-
-    /**
-     * MSHR gate for the miss paths: returns true when the access may
-     * proceed (allocating a register and wrapping *done's* completion
-     * to free it), false when all of @p core's registers are busy and
-     * @p retry was parked.  A line already tracked passes through
-     * unwrapped — it is a retry or secondary miss of the in-flight
-     * primary, whose completion frees the register.
-     */
-    template <typename Done>
-    bool mshrAdmit(CoreId core, LineAddr line, Done *done,
-                   std::function<void()> retry);
+                                  StoreDone done, bool primary, Cycle t);
 
     /**
      * Timing tail of a decomposed memory fill, starting from the LLC
      * pipe: async bank access, an NVM read behind it on an LLC miss,
      * then the data leg to the requester.  Runs at the directory; the
-     * functional contents were resolved at dispatch.  @p finish runs
-     * when the fill data is at the bank (the data leg's departure
+     * functional contents were resolved at dispatch.  @p finish (a
+     * void(Cycle) callable, stored in the bank access's completion)
+     * runs when the fill data is at the bank (the data leg's departure
      * instant) with the departure cycle.
      */
-    void fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                    std::function<void(Cycle)> finish);
+    template <typename Finish>
+    void fillTiming(LineAddr line, Cycle t, bool fromNvm, Finish finish);
 
     /**
-     * Handle a blocked transaction: the core's own node is invalid and
+     * Check a blocked transaction: the core's own node is invalid and
      * must clear (pending persist / frozen AG) before the access may
-     * proceed.  Otherwise a stale clean copy is spliced; *relinked is
-     * set if it was an AG member (the caller must fire onNodeRelinked
-     * after re-creating the node at the head).
-     * @return true if the caller must wait (waiter registered).
+     * proceed — the caller then parks a retry in nodeWaiters_.
+     * Otherwise a stale clean copy is spliced; *relinked is set if it
+     * was an AG member (the caller must fire onNodeRelinked after
+     * re-creating the node at the head).
+     * @return true if the caller must wait.
      */
-    bool mustWaitForOwnNode(CoreId core, LineAddr line,
-                            std::function<void()> retry, Cycle t,
+    bool mustWaitForOwnNode(CoreId core, LineAddr line, Cycle t,
                             bool *relinked = nullptr);
 
     /** Prepend @p core as the new head of @p line's list. */
@@ -249,17 +244,16 @@ class SlcProtocol : public CoherenceProtocol
     unsigned banks_;
     Cycle dirLatency_ = 6;
 
-    std::vector<std::unordered_map<LineAddr, Node>> nodes_; ///< Per core.
-    std::vector<CacheArray> arrays_;                        ///< Per core.
-    std::unordered_map<LineAddr, Entry> entries_;
+    std::vector<LineMap<Node>> nodes_; ///< Per core.
+    std::vector<CacheArray> arrays_;   ///< Per core.
+    LineMap<Entry> entries_;
     std::vector<unsigned> evictBufOcc_;
 
-    /** Accesses blocked on the owning core's pending node. */
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::function<void()>>> nodeWaiters_;
+    /** Accesses blocked on the owning core's pending node, keyed by
+     *  waiterKey(core, line). */
+    LineMap<std::vector<InlineCallback>> nodeWaiters_;
     /** Transactions blocked on a zombie entry teardown. */
-    std::unordered_map<LineAddr,
-                       std::vector<std::function<void()>>> zombieWaiters_;
+    LineMap<std::vector<InlineCallback>> zombieWaiters_;
 
     // --- stats ---------------------------------------------------------
     Counter &hits_;

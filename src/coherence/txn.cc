@@ -21,7 +21,7 @@ TxnTable::begin(LineAddr line, CoreId requester, unsigned waits,
 {
     tsoper_assert(waits >= 1, "transaction with no legs to wait on");
     const Id id = next_++;
-    entries_.emplace(
+    entries_.tryEmplace(
         id, Entry{line, requester, waits, 0, std::move(completion)});
     allocs_.inc();
     occupancy_.add(entries_.size());
@@ -31,9 +31,9 @@ TxnTable::begin(LineAddr line, CoreId requester, unsigned waits,
 void
 TxnTable::legDone(Id id, Cycle at)
 {
-    auto it = entries_.find(id);
-    tsoper_assert(it != entries_.end(), "leg of unknown transaction ", id);
-    Entry &e = it->second;
+    Entry *found = entries_.find(id);
+    tsoper_assert(found, "leg of unknown transaction ", id);
+    Entry &e = *found;
     legs_.inc();
     e.readyAt = std::max(e.readyAt, at);
     tsoper_assert(e.waits > 0, "transaction over-acknowledged");
@@ -42,7 +42,7 @@ TxnTable::legDone(Id id, Cycle at)
     // Move out before erasing: the completion may open new entries.
     Completion fire = std::move(e.completion);
     const Cycle readyAt = e.readyAt;
-    entries_.erase(it);
+    entries_.erase(id);
     fire(readyAt);
 }
 
@@ -58,7 +58,7 @@ Mshr::Mshr(EventQueue &eq, unsigned cores, unsigned entriesPerCore,
 bool
 Mshr::has(CoreId core, LineAddr line) const
 {
-    return cores_[static_cast<unsigned>(core)].lines.count(line) != 0;
+    return cores_[static_cast<unsigned>(core)].lines.contains(line);
 }
 
 bool
@@ -73,9 +73,21 @@ Mshr::enter(CoreId core, LineAddr line)
 {
     PerCore &pc = cores_[static_cast<unsigned>(core)];
     tsoper_assert(pc.lines.size() < entriesPerCore_, "MSHR overflow");
-    const bool inserted = pc.lines.insert(line).second;
+    const bool inserted = pc.lines.tryEmplace(line).second;
     tsoper_assert(inserted, "duplicate MSHR entry for line ", line);
     occupancy_.add(pc.lines.size());
+}
+
+bool
+Mshr::admit(CoreId core, LineAddr line, bool *primary)
+{
+    if (has(core, line))
+        return true;
+    if (full(core))
+        return false;
+    enter(core, line);
+    *primary = true;
+    return true;
 }
 
 void
@@ -92,7 +104,7 @@ Mshr::leave(CoreId core, LineAddr line)
 }
 
 void
-Mshr::defer(CoreId core, std::function<void()> retry)
+Mshr::defer(CoreId core, InlineCallback retry)
 {
     fullStalls_.inc();
     cores_[static_cast<unsigned>(core)].retries.push_back(

@@ -25,12 +25,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
+#include "sim/line_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -43,8 +42,9 @@ class TxnTable
     using Id = std::uint64_t;
     /** Runs when the last leg lands, with the fold (max) of all leg
      *  cycles — which equals the current cycle, since legs arrive in
-     *  event order. */
-    using Completion = std::function<void(Cycle)>;
+     *  event order.  Sized for MESI's upgrade completion (this, core,
+     *  line, the primary-miss flag and a StoreDone). */
+    using Completion = Callback<void(Cycle), 72>;
 
     explicit TxnTable(StatsRegistry &stats);
 
@@ -70,7 +70,7 @@ class TxnTable
         Completion completion;
     };
 
-    std::unordered_map<Id, Entry> entries_;
+    LineMap<Entry> entries_; ///< Keyed by the 64-bit id.
     Id next_ = 0;
     Counter &allocs_;
     Counter &legs_;
@@ -92,20 +92,59 @@ class Mshr
      *  the core must have a free register. */
     void enter(CoreId core, LineAddr line);
 
+    /**
+     * The protocols' gate for a miss of (core, line): true when it may
+     * proceed.  A line already tracked passes — a retry or secondary
+     * miss of the in-flight primary.  Otherwise the access claims a
+     * register and sets *primary (its completion must then free it,
+     * see complete()), or, with every register busy, gets false and
+     * parks a retry with defer().
+     */
+    bool admit(CoreId core, LineAddr line, bool *primary);
+
+    /** Run an access's completion @p done with @p args; a primary
+     *  miss first frees its register (so completions never nest). */
+    template <typename Done, typename... Args>
+    void
+    complete(CoreId core, LineAddr line, bool primary, Done &done,
+             Args... args)
+    {
+        if (primary)
+            leave(core, line);
+        done(args...);
+    }
+
+    /** complete() as the event of a reply leg: @p done receives the
+     *  arrival cycle, then @p args. */
+    template <typename Done, typename... Args>
+    InlineCallback
+    completion(CoreId core, LineAddr line, bool primary, Done done,
+               Args... args)
+    {
+        return [this, line, core, primary, done = std::move(done),
+                args...]() mutable {
+            complete(core, line, primary, done, eq_.now(), args...);
+        };
+    }
+
     /** Retire (core, line)'s register; if retries are parked, the
-     *  oldest is rescheduled (zero-delay) to claim the freed slot. */
+     *  oldest is rescheduled (zero-delay) to claim the freed slot.
+     *  The protocols call this from the primary miss's completing
+     *  leg. */
     void leave(CoreId core, LineAddr line);
 
-    /** Park @p retry until one of @p core's registers frees (FIFO). */
-    void defer(CoreId core, std::function<void()> retry);
+    /** Park @p retry until one of @p core's registers frees (FIFO).
+     *  The protocols build the retry only here, when a request is
+     *  actually parked. */
+    void defer(CoreId core, InlineCallback retry);
 
     std::size_t inFlight(CoreId core) const;
 
   private:
     struct PerCore
     {
-        std::unordered_set<LineAddr> lines;
-        std::deque<std::function<void()>> retries;
+        LineSet lines;
+        std::deque<InlineCallback> retries; ///< Parked, oldest first.
     };
 
     EventQueue &eq_;

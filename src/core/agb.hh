@@ -31,13 +31,13 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/llc.hh"
 #include "mem/nvm.hh"
 #include "noc/mesh.hh"
 #include "noc/message_bus.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -50,6 +50,11 @@ class Agb
 {
   public:
     using AgHandle = std::uint64_t;
+    /** Allocation grant.  Sized for BSP's (this, epoch, lines). */
+    using Granted = Callback<void(Cycle), 48>;
+    /** A line reached the persistent domain.  Sized for the engines'
+     *  (this, core or epoch, group, line) captures. */
+    using Buffered = Callback<void(Cycle), 32>;
 
     Agb(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh, Nvm &nvm,
         Llc &llc, StatsRegistry &stats);
@@ -65,8 +70,7 @@ class Agb
      * audit (trace::groupTag); 0 falls back to the returned handle.
      */
     AgHandle requestAllocation(CoreId from, std::vector<LineAddr> lines,
-                               std::function<void(Cycle)> granted,
-                               std::uint64_t auditTag = 0);
+                               Granted granted, std::uint64_t auditTag = 0);
 
     /**
      * Stream one line of a granted AG into its slice. @p done fires
@@ -75,7 +79,7 @@ class Agb
      * AG completes and the committed prefix advances.
      */
     void bufferLine(AgHandle h, LineAddr line, const LineWords &words,
-                    std::function<void(Cycle)> done);
+                    Buffered done);
 
     /** Durable-but-undrained contents at this instant (crash overlay),
      *  in allocation order. */
@@ -100,14 +104,15 @@ class Agb
         CoreId from = invalidCore;
         std::vector<LineAddr> lines;
         std::vector<unsigned> sliceNeeds;
-        std::unordered_set<LineAddr> issued; ///< Streams in flight.
+        /** Contents of every line streamed in so far; a line counts
+         *  as buffered (remaining) only when its write completes. */
         std::unordered_map<LineAddr, LineWords> buffered;
         unsigned remaining = 0;    ///< Lines not yet buffered.
         unsigned undrained = 0;    ///< Lines not yet written to NVM.
         bool granted = false;
         bool complete = false;
         bool drainIssued = false;
-        std::function<void(Cycle)> grantedCb;
+        Granted grantedCb;
     };
 
     unsigned

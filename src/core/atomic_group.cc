@@ -29,9 +29,8 @@ AgManager::addDirty(LineAddr line, bool isTail)
 {
     AtomicGroup &ag = openGroup();
     ++ag.storeCount;
-    auto it = membership_.find(line);
-    if (it != membership_.end()) {
-        tsoper_assert(it->second == &ag,
+    if (AtomicGroup **owner = membership_.find(line)) {
+        tsoper_assert(*owner == &ag,
                       "store into a line of a non-open AG (core=", core_,
                       ") — the frozen-group store block must prevent this");
         auto mit = ag.members.find(line);
@@ -47,7 +46,7 @@ AgManager::addDirty(LineAddr line, bool isTail)
             ag.waitingTail.insert(line);
         return false;
     }
-    membership_.emplace(line, &ag);
+    membership_.tryEmplace(line, &ag);
     ag.members.emplace(line, true);
     ++ag.unbuffered;
     if (!isTail)
@@ -63,13 +62,12 @@ void
 AgManager::addClean(LineAddr line, bool isTail)
 {
     AtomicGroup &ag = openGroup();
-    auto it = membership_.find(line);
-    if (it != membership_.end()) {
+    if (AtomicGroup **owner = membership_.find(line)) {
         // Already a member (clean or dirty) of the open AG.  Membership
         // in a frozen AG is impossible here: a frozen clean member's
         // node would be invalid and the re-access path blocks until the
         // group clears.
-        tsoper_assert(it->second == &ag, "read dependence on a line of a "
+        tsoper_assert(*owner == &ag, "read dependence on a line of a "
                       "frozen AG (core=", core_, ")");
         // Reconcile the dependence (the node may have been re-linked).
         if (isTail)
@@ -78,7 +76,7 @@ AgManager::addClean(LineAddr line, bool isTail)
             ag.waitingTail.insert(line);
         return;
     }
-    membership_.emplace(line, &ag);
+    membership_.tryEmplace(line, &ag);
     ag.members.emplace(line, false);
     if (!isTail)
         ag.waitingTail.insert(line);
@@ -89,15 +87,15 @@ AgManager::addClean(LineAddr line, bool isTail)
 AtomicGroup *
 AgManager::groupOf(LineAddr line)
 {
-    auto it = membership_.find(line);
-    return it == membership_.end() ? nullptr : it->second;
+    AtomicGroup **owner = membership_.find(line);
+    return owner ? *owner : nullptr;
 }
 
 const AtomicGroup *
 AgManager::groupOf(LineAddr line) const
 {
-    auto it = membership_.find(line);
-    return it == membership_.end() ? nullptr : it->second;
+    AtomicGroup *const *owner = membership_.find(line);
+    return owner ? *owner : nullptr;
 }
 
 bool
@@ -132,9 +130,8 @@ AgManager::becameTail(LineAddr line)
 void
 AgManager::releaseBufferedLine(AtomicGroup &ag, LineAddr line)
 {
-    auto it = membership_.find(line);
-    if (it != membership_.end() && it->second == &ag)
-        membership_.erase(it);
+    if (AtomicGroup **owner = membership_.find(line); owner && *owner == &ag)
+        membership_.erase(line);
 }
 
 AtomicGroup *
@@ -155,9 +152,9 @@ AgManager::retireOldest()
         // Dirty lines may already have released their membership at
         // buffering time, and the line may meanwhile belong to a newer
         // AG — only erase our own entry.
-        auto it = membership_.find(line);
-        if (it != membership_.end() && it->second == &ag)
-            membership_.erase(it);
+        if (AtomicGroup **owner = membership_.find(line);
+            owner && *owner == &ag)
+            membership_.erase(line);
         if (!dirty)
             clean.push_back(line);
     }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/agb.hh"
+#include "sim/line_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -101,7 +102,7 @@ class AgManager
     AtomicGroup *groupOf(LineAddr line);
     const AtomicGroup *groupOf(LineAddr line) const;
 
-    bool isMember(LineAddr line) const { return membership_.count(line); }
+    bool isMember(LineAddr line) const { return membership_.contains(line); }
 
     /** Is @p line in a *frozen* unpersisted AG (store-blocking rule)? */
     bool inFrozenGroup(LineAddr line) const;
@@ -156,7 +157,7 @@ class AgManager
     Histogram &dirtyHist_;
     /** Oldest first; the back element is the open AG iff !frozen. */
     std::deque<std::unique_ptr<AtomicGroup>> queue_;
-    std::unordered_map<LineAddr, AtomicGroup *> membership_;
+    LineMap<AtomicGroup *> membership_;
     AgId nextId_ = 1;
 };
 

@@ -355,16 +355,6 @@ BspEngine::markPersisted(const EpochPtr &e)
 }
 
 bool
-BspEngine::tryDeferStoreCommit(CoreId core, LineAddr line,
-                               std::function<void()> retry)
-{
-    if (storeMayCommit(core, line))
-        return false;
-    addStoreWaiter(core, line, std::move(retry));
-    return true;
-}
-
-bool
 BspEngine::storeMayCommit(CoreId core, LineAddr line)
 {
     // In every mode a store to a closed, unpersisted epoch's line must
@@ -384,7 +374,7 @@ BspEngine::storeMayCommit(CoreId core, LineAddr line)
 
 void
 BspEngine::addStoreWaiter(CoreId core, LineAddr line,
-                          std::function<void()> retry)
+                          InlineCallback retry)
 {
     storeWaiters_[static_cast<unsigned>(core)].push_back(
         StoreWaiter{line, std::move(retry)});

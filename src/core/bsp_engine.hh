@@ -62,13 +62,11 @@ class BspEngine : public PersistEngine
                       Cycle now) override;
     void onStoreCommitted(CoreId core, LineAddr line, Cycle now) override;
     bool dropsInvalidDirty() const override { return true; }
-    bool tryDeferStoreCommit(CoreId core, LineAddr line,
-                             std::function<void()> retry) override;
-
-    // --- PersistEngine ---------------------------------------------------
     bool storeMayCommit(CoreId core, LineAddr line) override;
     void addStoreWaiter(CoreId core, LineAddr line,
-                        std::function<void()> retry) override;
+                        InlineCallback retry) override;
+
+    // --- PersistEngine ---------------------------------------------------
     void onMarker(CoreId core, Cycle now) override;
     void drain(std::function<void()> done) override;
     bool quiescent() const override;
@@ -142,7 +140,7 @@ class BspEngine : public PersistEngine
     struct StoreWaiter
     {
         LineAddr line;
-        std::function<void()> retry;
+        InlineCallback retry;
     };
     std::vector<std::vector<StoreWaiter>> storeWaiters_;
     bool draining_ = false;

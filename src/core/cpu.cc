@@ -173,9 +173,10 @@ Cpu::execLoad(const TraceOp &op)
         tryDrainSb();
         return;
     }
-    proto_.load(id_, op.addr, [this, op](Cycle at, StoreId value) {
+    proto_.load(id_, op.addr, [this, addr = op.addr](Cycle at,
+                                                     StoreId value) {
         if (log_)
-            log_->loadObserved(id_, op.addr, value);
+            log_->loadObserved(id_, addr, value);
         advanceAt(at);
     });
 }
@@ -241,9 +242,10 @@ Cpu::issueDirectStore(Addr addr, std::function<void()> then)
     const StoreId sid = newStoreId();
     if (log_)
         log_->storeIssued(id_, sid);
-    proto_.store(id_, addr, sid, [this, then](Cycle at) {
-        eq_.schedule(std::max(at, eq_.now()), then);
-    });
+    proto_.store(id_, addr, sid,
+                 [this, then = std::move(then)](Cycle at) mutable {
+                     eq_.schedule(std::max(at, eq_.now()), std::move(then));
+                 });
 }
 
 void
@@ -275,11 +277,12 @@ Cpu::execLockAcqGranted(const TraceOp &op)
         engine_.onSyncEvent(id_, eq_.now(),
                             PersistEngine::SyncEvent::LockAcquire,
                             op.arg);
-        proto_.load(id_, op.addr, [this, op](Cycle at, StoreId value) {
+        proto_.load(id_, op.addr, [this, addr = op.addr](Cycle at,
+                                                         StoreId value) {
             if (log_)
-                log_->loadObserved(id_, op.addr, value);
+                log_->loadObserved(id_, addr, value);
             (void)at;
-            issueDirectStore(op.addr, [this] { advanceAt(eq_.now()); });
+            issueDirectStore(addr, [this] { advanceAt(eq_.now()); });
         });
     };
     if (sync_.acquire(op.arg, id_, rmw))
@@ -332,9 +335,9 @@ Cpu::execBarrier(const TraceOp &op)
                     id_, eq_.now(),
                     PersistEngine::SyncEvent::BarrierResume, op.arg);
                 proto_.load(id_, op.addr,
-                            [this, op](Cycle at, StoreId value) {
+                            [this, addr = op.addr](Cycle at, StoreId value) {
                     if (log_)
-                        log_->loadObserved(id_, op.addr, value);
+                        log_->loadObserved(id_, addr, value);
                     advanceAt(at);
                 });
             });

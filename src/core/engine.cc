@@ -6,14 +6,6 @@ namespace tsoper
 {
 
 void
-PersistEngine::addStoreWaiter(CoreId core, LineAddr line,
-                              std::function<void()> retry)
-{
-    (void)core; (void)line; (void)retry;
-    tsoper_panic("addStoreWaiter on an engine that never blocks stores");
-}
-
-void
 PersistEngine::addStallWaiter(std::function<void()> resume)
 {
     (void)resume;

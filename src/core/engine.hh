@@ -32,25 +32,8 @@ class PersistEngine : public ProtocolHooks
     ~PersistEngine() override = default;
 
     // --- Core-side gating -------------------------------------------
-
-    /**
-     * May the store at the head of @p core's store buffer commit to the
-     * private cache?  False when the line belongs to a frozen atomic
-     * group (§II-A) or a closed, unpersisted BSP epoch.
-     */
-    virtual bool
-    storeMayCommit(CoreId core, LineAddr line)
-    {
-        (void)core; (void)line;
-        return true;
-    }
-
-    /**
-     * Register @p retry to run once a blocked store may make progress.
-     * Only called after storeMayCommit returned false.
-     */
-    virtual void addStoreWaiter(CoreId core, LineAddr line,
-                                std::function<void()> retry);
+    // (Store gating, storeMayCommit/addStoreWaiter, is a ProtocolHooks
+    // member: the protocols re-check it at serialization.)
 
     /** STW: is @p core stalled by a world-stop? */
     virtual bool

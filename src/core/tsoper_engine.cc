@@ -192,7 +192,9 @@ bool
 TsoperEngine::storeMayCommit(CoreId core, LineAddr line)
 {
     // §II-A: a store to a cacheline in a frozen atomic group blocks
-    // until the group persists.
+    // until the group persists.  (The freeze may also happen while a
+    // store's transaction is in flight, so the protocol re-checks at
+    // the serialization point.)
     const bool blocked =
         mgrs_[static_cast<unsigned>(core)]->inFrozenGroup(line);
     if (blocked)
@@ -200,22 +202,9 @@ TsoperEngine::storeMayCommit(CoreId core, LineAddr line)
     return !blocked;
 }
 
-bool
-TsoperEngine::tryDeferStoreCommit(CoreId core, LineAddr line,
-                                  std::function<void()> retry)
-{
-    // The freeze may have happened while this store's transaction was
-    // in flight to the directory; re-check at the serialization point.
-    if (!mgrs_[static_cast<unsigned>(core)]->inFrozenGroup(line))
-        return false;
-    storeBlocks_.inc();
-    addStoreWaiter(core, line, std::move(retry));
-    return true;
-}
-
 void
 TsoperEngine::addStoreWaiter(CoreId core, LineAddr line,
-                             std::function<void()> retry)
+                             InlineCallback retry)
 {
     storeWaiters_[static_cast<unsigned>(core)].push_back(
         StoreWaiter{line, std::move(retry)});

@@ -58,13 +58,11 @@ class TsoperEngine : public PersistEngine
     bool lineInUnpersistedAg(CoreId core, LineAddr line) const override;
     bool lineInFrozenAg(CoreId core, LineAddr line) const override;
     void onNodeRelinked(CoreId core, LineAddr line, Cycle now) override;
-    bool tryDeferStoreCommit(CoreId core, LineAddr line,
-                             std::function<void()> retry) override;
-
-    // --- PersistEngine ---------------------------------------------------
     bool storeMayCommit(CoreId core, LineAddr line) override;
     void addStoreWaiter(CoreId core, LineAddr line,
-                        std::function<void()> retry) override;
+                        InlineCallback retry) override;
+
+    // --- PersistEngine ---------------------------------------------------
     void onMarker(CoreId core, Cycle now) override;
     void drain(std::function<void()> done) override;
     bool quiescent() const override;
@@ -123,7 +121,7 @@ class TsoperEngine : public PersistEngine
     struct StoreWaiter
     {
         LineAddr line;
-        std::function<void()> retry;
+        InlineCallback retry;
     };
     std::vector<std::vector<StoreWaiter>> storeWaiters_;
 

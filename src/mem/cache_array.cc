@@ -1,22 +1,53 @@
 #include "mem/cache_array.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 
 namespace tsoper
 {
 
 CacheArray::CacheArray(unsigned sets, unsigned ways, unsigned setShift)
-    : sets_(sets), ways_(ways), setShift_(setShift), entries_(sets * ways)
+    : sets_(sets), ways_(ways), setShift_(setShift),
+      entries_(std::make_unique_for_overwrite<Entry[]>(
+          static_cast<std::size_t>(sets) * ways)),
+      setReady_(sets, 0)
 {
     tsoper_assert(sets != 0 && (sets & (sets - 1)) == 0,
                   "set count must be a power of two");
     tsoper_assert(ways != 0);
 }
 
+CacheArray::CacheArray(const CacheArray &other)
+    : sets_(other.sets_), ways_(other.ways_), setShift_(other.setShift_),
+      entries_(std::make_unique_for_overwrite<Entry[]>(
+          static_cast<std::size_t>(sets_) * ways_)),
+      setReady_(other.setReady_), useClock_(other.useClock_),
+      population_(other.population_)
+{
+    for (unsigned set = 0; set < sets_; ++set) {
+        if (setReady_[set]) {
+            const std::size_t base = static_cast<std::size_t>(set) * ways_;
+            std::copy_n(&other.entries_[base], ways_, &entries_[base]);
+        }
+    }
+}
+
+CacheArray &
+CacheArray::operator=(const CacheArray &other)
+{
+    if (this != &other)
+        *this = CacheArray(other);
+    return *this;
+}
+
 CacheArray::Entry *
 CacheArray::find(LineAddr line)
 {
-    Entry *base = &entries_[setOf(line) * ways_];
+    const unsigned set = setOf(line);
+    if (!setReady_[set])
+        return nullptr;
+    Entry *base = &entries_[static_cast<std::size_t>(set) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         if (base[w].valid && base[w].line == line)
             return &base[w];
@@ -53,7 +84,12 @@ CacheArray::insert(LineAddr line)
         result.hit = true;
         return result;
     }
-    Entry *base = &entries_[setOf(line) * ways_];
+    const unsigned set = setOf(line);
+    Entry *base = &entries_[static_cast<std::size_t>(set) * ways_];
+    if (!setReady_[set]) {
+        std::fill_n(base, ways_, Entry{});
+        setReady_[set] = 1;
+    }
     Entry *slot = nullptr;
     Entry *victim = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
@@ -114,9 +150,14 @@ CacheArray::isPinned(LineAddr line) const
 void
 CacheArray::forEach(const std::function<void(LineAddr)> &fn) const
 {
-    for (const Entry &e : entries_) {
-        if (e.valid)
-            fn(e.line);
+    for (unsigned set = 0; set < sets_; ++set) {
+        if (!setReady_[set])
+            continue;
+        const Entry *base = &entries_[static_cast<std::size_t>(set) * ways_];
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (base[w].valid)
+                fn(base[w].line);
+        }
     }
 }
 

@@ -7,6 +7,11 @@
  * version contents) are kept by the owning controller, keyed by line
  * address.  Pinned lines are never chosen as victims — used for lines
  * whose atomic group is mid-persist.
+ *
+ * A set's ways are written only when the set first receives a line:
+ * construction allocates the way storage without touching it, so
+ * building a System (megabytes of LLC, private-cache and directory
+ * tags) costs no memory traffic for sets a run never uses.
  */
 
 #ifndef TSOPER_MEM_CACHE_ARRAY_HH
@@ -14,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/types.hh"
@@ -42,6 +48,12 @@ class CacheArray
      *                  select the bank.
      */
     CacheArray(unsigned sets, unsigned ways, unsigned setShift = 0);
+
+    /** Copies carry only the sets in use. */
+    CacheArray(const CacheArray &other);
+    CacheArray &operator=(const CacheArray &other);
+    CacheArray(CacheArray &&) noexcept = default;
+    CacheArray &operator=(CacheArray &&) noexcept = default;
 
     bool contains(LineAddr line) const;
 
@@ -72,12 +84,14 @@ class CacheArray
     void forEach(const std::function<void(LineAddr)> &fn) const;
 
   private:
+    /** No member initializers: storage is left uninitialized until
+     *  its set is first used (Entry{} is the empty way). */
     struct Entry
     {
-        LineAddr line = 0;
-        bool valid = false;
-        bool pinned = false;
-        std::uint64_t lastUse = 0;
+        LineAddr line;
+        bool valid;
+        bool pinned;
+        std::uint64_t lastUse;
     };
 
     unsigned setOf(LineAddr line) const
@@ -91,7 +105,10 @@ class CacheArray
     unsigned sets_;
     unsigned ways_;
     unsigned setShift_;
-    std::vector<Entry> entries_; ///< sets_ x ways_, row-major.
+    /** sets_ x ways_, row-major; a set's ways are valid storage only
+     *  once setReady_ marks it. */
+    std::unique_ptr<Entry[]> entries_;
+    std::vector<std::uint8_t> setReady_;
     std::uint64_t useClock_ = 0;
     std::size_t population_ = 0;
 };

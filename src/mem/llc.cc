@@ -42,10 +42,10 @@ Llc::access(LineAddr line, Cycle when)
 }
 
 void
-Llc::accessAsync(LineAddr line, Cycle when, std::function<void(Cycle)> done)
+Llc::accessAsync(LineAddr line, Cycle when, AccessDone done)
 {
     const Cycle completion = access(line, when);
-    eq_.schedule(completion, [completion, done = std::move(done)] {
+    eq_.schedule(completion, [completion, done = std::move(done)]() mutable {
         done(completion);
     });
 }
@@ -59,9 +59,9 @@ Llc::contains(LineAddr line) const
 const LineWords &
 Llc::lookup(LineAddr line) const
 {
-    auto it = meta_.find(line);
-    tsoper_assert(it != meta_.end(), "LLC lookup of absent line ", line);
-    return it->second.words;
+    const Meta *m = meta_.find(line);
+    tsoper_assert(m, "LLC lookup of absent line ", line);
+    return m->words;
 }
 
 void
@@ -71,16 +71,16 @@ Llc::install(LineAddr line, const LineWords &words, bool dirty, Cycle now)
     CacheArray &array = arrays_[bankOf(line)];
     const auto result = array.insert(line);
     tsoper_assert(!result.noSpace, "LLC set fully pinned");
-    if (!result.hit && agbPins_.count(line))
+    if (!result.hit && agbPins_.contains(line))
         array.setPinned(line, true);
     if (result.evicted) {
-        auto vit = meta_.find(result.victim);
-        tsoper_assert(vit != meta_.end());
-        if (vit->second.dirty) {
+        const Meta *victim = meta_.find(result.victim);
+        tsoper_assert(victim);
+        if (victim->dirty) {
             dirtyEvicts_.inc();
-            nvm_.write(result.victim, vit->second.words, now);
+            nvm_.write(result.victim, victim->words, now);
         }
-        meta_.erase(vit);
+        meta_.erase(result.victim);
     }
     Meta &m = meta_[line];
     if (result.hit) {
@@ -102,17 +102,15 @@ Llc::merge(LineAddr line, const LineWords &words, bool dirty, Cycle now)
 Cycle
 Llc::persistPendingUntil(LineAddr line) const
 {
-    auto it = meta_.find(line);
-    return it == meta_.end() ? 0 : it->second.persistPendingUntil;
+    const Meta *m = meta_.find(line);
+    return m ? m->persistPendingUntil : 0;
 }
 
 void
 Llc::setPersistPending(LineAddr line, Cycle until)
 {
-    auto it = meta_.find(line);
-    if (it != meta_.end())
-        it->second.persistPendingUntil =
-            std::max(it->second.persistPendingUntil, until);
+    if (Meta *m = meta_.find(line))
+        m->persistPendingUntil = std::max(m->persistPendingUntil, until);
 }
 
 void
@@ -125,11 +123,10 @@ Llc::pinForAgb(LineAddr line)
 void
 Llc::unpinForAgb(LineAddr line)
 {
-    auto it = agbPins_.find(line);
-    tsoper_assert(it != agbPins_.end() && it->second > 0,
-                  "unbalanced AGB unpin");
-    if (--it->second == 0) {
-        agbPins_.erase(it);
+    unsigned *pins = agbPins_.find(line);
+    tsoper_assert(pins && *pins > 0, "unbalanced AGB unpin");
+    if (--*pins == 0) {
+        agbPins_.erase(line);
         if (arrays_[bankOf(line)].contains(line))
             arrays_[bankOf(line)].setPinned(line, false);
     }
@@ -138,7 +135,7 @@ Llc::unpinForAgb(LineAddr line)
 bool
 Llc::isPinned(LineAddr line) const
 {
-    return agbPins_.count(line) != 0;
+    return agbPins_.contains(line);
 }
 
 std::size_t

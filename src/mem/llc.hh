@@ -13,14 +13,14 @@
 #ifndef TSOPER_MEM_LLC_HH
 #define TSOPER_MEM_LLC_HH
 
-#include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache_array.hh"
 #include "mem/nvm.hh"
+#include "sim/callback.hh"
 #include "sim/config.hh"
+#include "sim/line_map.hh"
 #include "sim/stats.hh"
 
 namespace tsoper
@@ -29,6 +29,11 @@ namespace tsoper
 class Llc
 {
   public:
+    /** Bank-access completion.  Sized for a protocol's memory fill
+     *  continuation (sizeof(AccessDone) plus the event's completion
+     *  cycle is exactly InlineCallback::capacity). */
+    using AccessDone = Callback<void(Cycle), 104>;
+
     Llc(const SystemConfig &cfg, Nvm &nvm, StatsRegistry &stats);
 
     unsigned
@@ -51,8 +56,7 @@ class Llc
      * continuation (NVM read, data reply) starts when the bank
      * actually delivers.
      */
-    void accessAsync(LineAddr line, Cycle when,
-                     std::function<void(Cycle)> done);
+    void accessAsync(LineAddr line, Cycle when, AccessDone done);
 
     bool contains(LineAddr line) const;
 
@@ -108,8 +112,8 @@ class Llc
     EventQueue &eq_;
     std::vector<CacheArray> arrays_;
     std::vector<Cycle> bankBusyUntil_;
-    std::unordered_map<LineAddr, Meta> meta_;
-    std::unordered_map<LineAddr, unsigned> agbPins_;
+    LineMap<Meta> meta_;
+    LineMap<unsigned> agbPins_;
     Counter &hits_;
     Counter &installs_;
     Counter &dirtyEvicts_;

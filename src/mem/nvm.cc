@@ -22,7 +22,7 @@ Nvm::Nvm(const SystemConfig &cfg, EventQueue &eq, StatsRegistry &stats)
 
 Cycle
 Nvm::write(LineAddr line, const LineWords &words, Cycle earliest,
-           std::function<void(Cycle)> done)
+           WriteDone done)
 {
     writesIssued_.inc();
     Cycle &busy = rankBusyUntil_[rankOf(line)];
@@ -30,7 +30,8 @@ Nvm::write(LineAddr line, const LineWords &words, Cycle earliest,
     rankWaitCycles_.inc(start - earliest);
     const Cycle completion = start + writeLatency_;
     busy = start + writeOccupancy_;
-    eq_.schedule(completion, [this, line, words, done, completion] {
+    eq_.schedule(completion, [this, line, words, done = std::move(done),
+                              completion]() mutable {
         auto [it, fresh] = image_.try_emplace(line, zeroLine());
         (void)fresh;
         mergeWords(it->second, words);

@@ -16,10 +16,10 @@
 #define TSOPER_MEM_NVM_HH
 
 #include <array>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -53,6 +53,11 @@ mergeWords(LineWords &dst, const LineWords &src)
 class Nvm
 {
   public:
+    /** Write completion.  Its sizeof() plus the completion event's
+     *  line, words, cycle and `this` is exactly
+     *  InlineCallback::capacity. */
+    using WriteDone = Callback<void(Cycle), 24>;
+
     Nvm(const SystemConfig &cfg, EventQueue &eq, StatsRegistry &stats);
 
     /** Memory controller / rank that owns @p line. */
@@ -69,7 +74,7 @@ class Nvm
      * @return the completion cycle.
      */
     Cycle write(LineAddr line, const LineWords &words, Cycle earliest,
-                std::function<void(Cycle)> done = {});
+                WriteDone done = {});
 
     /** Timing-only read service. @return the completion cycle. */
     Cycle read(LineAddr line, Cycle earliest);

@@ -19,6 +19,19 @@ Mesh::Mesh(const SystemConfig &cfg, StatsRegistry &stats)
       linkWaitCycles_(stats.counter("noc.link_wait_cycles"))
 {
     tsoper_assert(cols_ >= 1 && rows_ >= 1);
+    const int n = static_cast<int>(nodes());
+    routeStart_.reserve(static_cast<std::size_t>(n * n) + 1);
+    for (int src = 0; src < n; ++src) {
+        for (int dst = 0; dst < n; ++dst) {
+            routeStart_.push_back(static_cast<unsigned>(routeLinks_.size()));
+            for (int at = src; at != dst;) {
+                const int next = nextHop(at, dst);
+                routeLinks_.push_back(linkIndex(at, next));
+                at = next;
+            }
+        }
+    }
+    routeStart_.push_back(static_cast<unsigned>(routeLinks_.size()));
 }
 
 unsigned
@@ -87,17 +100,16 @@ Mesh::route(int src, int dst, unsigned bytes, Cycle depart)
         return depart + 1;
     const Cycle ser = (bytes + linkBytes_ - 1) / linkBytes_;
     Cycle at = depart;
-    int node = src;
-    while (node != dst) {
-        const int next = nextHop(node, dst);
-        Link &link = links_[linkIndex(node, next)];
+    const std::size_t pair = static_cast<std::size_t>(src) * nodes() +
+                             static_cast<std::size_t>(dst);
+    for (unsigned i = routeStart_[pair]; i < routeStart_[pair + 1]; ++i) {
+        Link &link = links_[routeLinks_[i]];
         const Cycle start = std::max(at, link.busyUntil);
         linkWaitCycles_.inc(start - at);
         // The link is occupied for the serialization time; the head of
         // the message reaches the next router after the hop latency.
         link.busyUntil = start + ser;
         at = start + hopLatency_;
-        node = next;
     }
     // Account for the tail of the message (serialization) once.
     trace::span(trace::Event::NocMsg, invalidCore, depart, at + ser,

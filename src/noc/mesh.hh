@@ -7,7 +7,9 @@
  * linkBytesPerCycle bytes per cycle and serializes competing messages.
  * The model returns, for a message injected at a given cycle, the cycle
  * at which it is delivered, accounting for hop latency, serialization
- * and link contention.
+ * and link contention.  Routes are fixed, so the constructor tabulates
+ * each (src, dst) pair's XY route as its list of directed links; a
+ * message walks that list instead of recomputing the route hop by hop.
  *
  * Node map (defaults, 4x4 mesh, 8 cores + 8 LLC/dir/MC tiles):
  *   nodes 0..numCores-1          core tiles (row-major from the top)
@@ -71,7 +73,8 @@ class Mesh
         return static_cast<int>(row * cols_ + col);
     }
 
-    /** Next node along the XY route from @p at towards @p dst. */
+    /** Next node along the XY route from @p at towards @p dst (used
+     *  only to build the route table). */
     int nextHop(int at, int dst) const;
 
     unsigned cols_;
@@ -81,6 +84,11 @@ class Mesh
     int numCores_;
     unsigned banks_;
     std::vector<Link> links_; ///< 4 directed links per node (N,E,S,W).
+    /** Link indices of every route, concatenated; the route from src
+     *  to dst is [routeStart_[p], routeStart_[p + 1]) with
+     *  p = src * nodes() + dst. */
+    std::vector<unsigned> routeLinks_;
+    std::vector<unsigned> routeStart_;
     Counter &messages_;
     Counter &bytes_;
     Counter &linkWaitCycles_;

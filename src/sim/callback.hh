@@ -1,17 +1,26 @@
 /**
  * @file
- * InlineCallback: a move-only, allocation-free replacement for
- * std::function<void()> on the event kernel's hot path.
+ * Callback<Sig, Capacity>: a move-only, allocation-free replacement
+ * for std::function on the per-access path; InlineCallback is the
+ * event kernel's `void()` instance.
  *
  * std::function heap-allocates any capture larger than its small
- * buffer (16 bytes on libstdc++) — and nearly every event in this
- * simulator captures at least (this, line, continuation), so the seed
- * kernel paid one malloc/free per scheduled event.  InlineCallback
- * stores the callable in fixed in-place storage sized for the largest
- * capture in src/ (Nvm::write's completion event: this + line + a full
- * cacheline of words + a std::function continuation + a cycle).  A
- * capture that does not fit is a compile error, not a silent
- * allocation: grow `capacity` deliberately or shrink the capture.
+ * buffer (16 bytes on libstdc++) — and nearly every event and
+ * completion in this simulator captures at least (this, line,
+ * continuation), so a load or store paid several malloc/free pairs.
+ * Callback stores the callable in fixed in-place storage of
+ * `Capacity` bytes, a compile-time constant chosen per use (e.g.
+ * CoherenceProtocol::LoadDone, LineSerializer::Body).  A capture that
+ * does not fit is a compile error, not a silent allocation: grow the
+ * capacity deliberately or shrink the capture.
+ *
+ * Being move-only, a completion is *moved* along its path — load() ->
+ * transaction body -> reply leg — and never copied.  Nesting costs
+ * storage: a callable that captures a Callback needs that Callback's
+ * whole sizeof(), capacity + 8 bytes.  InlineCallback::capacity (120
+ * bytes) bounds every scheduled event; the largest are Nvm::write's
+ * completion (this + line + a cacheline of words + its done + a cycle)
+ * and Llc::accessAsync's (a cycle + a memory fill's continuation).
  */
 
 #ifndef TSOPER_SIM_CALLBACK_HH
@@ -25,48 +34,52 @@
 namespace tsoper
 {
 
-class InlineCallback
+template <typename Sig, std::size_t Capacity>
+class Callback;
+
+template <typename R, typename... Args, std::size_t Capacity>
+class Callback<R(Args...), Capacity>
 {
   public:
-    /** In-place storage, in bytes.  Sized for the largest capture on
-     *  the event path (nvm.cc: 120 bytes); see canHold<F>. */
-    static constexpr std::size_t capacity = 120;
+    /** In-place storage, in bytes; see canHold<F>. */
+    static constexpr std::size_t capacity = Capacity;
+
+    /** Storage alignment: pointer-sized, so a Callback nested in a
+     *  capture costs exactly capacity + 8 bytes, with no padding. */
+    static constexpr std::size_t alignment = alignof(void *);
 
     /** Whether a callable of type @p F fits the in-place storage;
      *  the constructor static_asserts this, tests assert both ways. */
     template <typename F>
     static constexpr bool canHold =
         sizeof(std::decay_t<F>) <= capacity &&
-        alignof(std::decay_t<F>) <= alignof(std::max_align_t);
+        alignof(std::decay_t<F>) <= alignment;
 
-    InlineCallback() = default;
+    Callback() = default;
 
     template <typename F, typename D = std::decay_t<F>,
               typename = std::enable_if_t<
-                  !std::is_same_v<D, InlineCallback> &&
-                  std::is_invocable_r_v<void, D &>>>
-    InlineCallback(F &&fn) // NOLINT: implicit, mirrors std::function
+                  !std::is_same_v<D, Callback> &&
+                  std::is_invocable_r_v<R, D &, Args...>>>
+    Callback(F &&fn) // NOLINT: implicit, mirrors std::function
     {
         static_assert(sizeof(D) <= capacity,
-                      "lambda capture exceeds InlineCallback::capacity; "
+                      "lambda capture exceeds the Callback's capacity; "
                       "shrink the capture or grow the storage "
                       "deliberately (sim/callback.hh)");
-        static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "over-aligned capture in InlineCallback");
+        static_assert(alignof(D) <= alignment,
+                      "over-aligned capture in Callback");
         static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "InlineCallback requires nothrow-movable "
-                      "callables (events relocate between buckets)");
+                      "Callback requires nothrow-movable callables "
+                      "(events relocate between buckets)");
         ::new (static_cast<void *>(storage_)) D(std::forward<F>(fn));
         ops_ = &OpsImpl<D>::ops;
     }
 
-    InlineCallback(InlineCallback &&other) noexcept
-    {
-        moveFrom(std::move(other));
-    }
+    Callback(Callback &&other) noexcept { moveFrom(std::move(other)); }
 
-    InlineCallback &
-    operator=(InlineCallback &&other) noexcept
+    Callback &
+    operator=(Callback &&other) noexcept
     {
         if (this != &other) {
             reset();
@@ -75,15 +88,15 @@ class InlineCallback
         return *this;
     }
 
-    InlineCallback(const InlineCallback &) = delete;
-    InlineCallback &operator=(const InlineCallback &) = delete;
+    Callback(const Callback &) = delete;
+    Callback &operator=(const Callback &) = delete;
 
-    ~InlineCallback() { reset(); }
+    ~Callback() { reset(); }
 
-    void
-    operator()()
+    R
+    operator()(Args... args)
     {
-        ops_->invoke(storage_);
+        return ops_->invoke(storage_, std::forward<Args>(args)...);
     }
 
     explicit operator bool() const { return ops_ != nullptr; }
@@ -91,7 +104,7 @@ class InlineCallback
   private:
     struct Ops
     {
-        void (*invoke)(void *self);
+        R (*invoke)(void *self, Args &&...args);
         /** Move-construct dst from src, then destroy src. */
         void (*relocate)(void *src, void *dst) noexcept;
         void (*destroy)(void *self) noexcept;
@@ -100,10 +113,10 @@ class InlineCallback
     template <typename D>
     struct OpsImpl
     {
-        static void
-        invoke(void *self)
+        static R
+        invoke(void *self, Args &&...args)
         {
-            (*static_cast<D *>(self))();
+            return (*static_cast<D *>(self))(std::forward<Args>(args)...);
         }
         static void
         relocate(void *src, void *dst) noexcept
@@ -120,7 +133,7 @@ class InlineCallback
     };
 
     void
-    moveFrom(InlineCallback &&other) noexcept
+    moveFrom(Callback &&other) noexcept
     {
         if (other.ops_) {
             other.ops_->relocate(other.storage_, storage_);
@@ -138,9 +151,12 @@ class InlineCallback
         }
     }
 
-    alignas(std::max_align_t) std::byte storage_[capacity];
+    alignas(alignment) std::byte storage_[capacity];
     const Ops *ops_ = nullptr;
 };
+
+/** The event kernel's callback: every scheduled event is one. */
+using InlineCallback = Callback<void(), 120>;
 
 } // namespace tsoper
 

@@ -1,9 +1,12 @@
 #include "workload/trace_io.hh"
 
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
 #include "sim/log.hh"
+#include "sim/parse.hh"
 
 namespace tsoper
 {
@@ -83,8 +86,11 @@ loadWorkload(std::istream &is)
                     tsoper_fatal("trace line ", lineNo,
                                  ": malformed key=value: ", kv);
                 const std::string key = kv.substr(0, eq);
-                const unsigned value =
-                    static_cast<unsigned>(std::stoul(kv.substr(eq + 1)));
+                std::uint64_t parsed = 0;
+                if (!parseUint(kv.substr(eq + 1), &parsed, UINT_MAX))
+                    tsoper_fatal("trace line ", lineNo,
+                                 ": bad number in ", kv);
+                const unsigned value = static_cast<unsigned>(parsed);
                 if (key == "cores")
                     cores = value;
                 else if (key == "locks")

@@ -110,3 +110,27 @@ TEST(CacheArray, PowerOfTwoSetsEnforced)
 {
     EXPECT_THROW(CacheArray(3, 2), std::logic_error);
 }
+
+TEST(CacheArray, CopyCarriesLinesPinsAndRecency)
+{
+    // Ways are written lazily per set; a copy must carry exactly the
+    // sets in use, with their recency and pins, and stay independent.
+    CacheArray a(4, 2);
+    a.insert(0);
+    a.insert(4); // Set 0 full: 0 is LRU.
+    a.insert(1);
+    a.setPinned(1, true);
+    CacheArray b(a);
+    CacheArray c(8, 1);
+    c = a;
+    for (CacheArray *x : {&b, &c}) {
+        EXPECT_EQ(x->size(), 3u);
+        EXPECT_TRUE(x->isPinned(1));
+        EXPECT_FALSE(x->contains(2)); // Untouched set.
+        const auto r = x->insert(8);  // Set 0 again.
+        EXPECT_TRUE(r.evicted);
+        EXPECT_EQ(r.victim, 0u);
+    }
+    EXPECT_TRUE(a.contains(0)); // The original is unaffected.
+    EXPECT_EQ(a.size(), 3u);
+}

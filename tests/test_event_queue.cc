@@ -5,9 +5,10 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <functional>
 #include <vector>
 
+#include "mem/llc.hh"
+#include "mem/nvm.hh"
 #include "sim/event_queue.hh"
 
 using namespace tsoper;
@@ -275,24 +276,32 @@ static_assert(!InlineCallback::canHold<OneByteTooBig>,
 
 TEST(EventQueue, LargestRealCaptureStillFits)
 {
-    // Shape of the biggest scheduling site in src/ (Nvm::write):
-    // this + line + a cacheline of words + a std::function + a cycle.
+    // Shape of the biggest scheduling sites in src/: Nvm::write's
+    // completion (this + line + a cacheline of words + its WriteDone +
+    // a cycle) and Llc::accessAsync's (a cycle + its AccessDone).
     struct NvmShape
     {
         void *self;
         std::uint64_t line;
         std::array<std::uint64_t, 8> words;
-        std::function<void(Cycle)> done;
+        Nvm::WriteDone done;
         Cycle completion;
-        void operator()() {}
+        void operator()() { done(completion); }
+    };
+    struct LlcShape
+    {
+        Cycle completion;
+        Llc::AccessDone done;
+        void operator()() { done(completion); }
     };
     static_assert(InlineCallback::canHold<NvmShape>);
+    static_assert(InlineCallback::canHold<LlcShape>);
     EventQueue eq;
     bool ran = false;
     NvmShape ev{};
     ev.self = &ran;
     ev.done = [&ran](Cycle) { ran = true; };
-    eq.schedule(3, [ev = std::move(ev)]() mutable { ev.done(0); });
+    eq.schedule(3, std::move(ev));
     eq.run();
     EXPECT_TRUE(ran);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "noc/mesh.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
@@ -52,11 +54,31 @@ TEST(Mesh, SelfSendCostsOneCycle)
 
 TEST(Mesh, UncontendedRouteMatchesIdealLatency)
 {
-    StatsRegistry stats;
-    SystemConfig cfg = cfg4x4();
-    Mesh m(cfg, stats);
-    const Cycle arrival = m.route(0, 15, 8, 50);
-    EXPECT_EQ(arrival, 50 + m.idealLatency(0, 15, 8));
+    // Every (src, dst) pair of three mesh shapes: the precomputed
+    // route of each pair must cost exactly its ideal latency when no
+    // other message holds a link.
+    for (const auto &[cols, rows] :
+         {std::pair{4u, 4u}, std::pair{2u, 3u}, std::pair{1u, 8u}}) {
+        SystemConfig cfg = cfg4x4();
+        cfg.meshCols = cols;
+        cfg.meshRows = rows;
+        const int n = static_cast<int>(cols * rows);
+        for (int src = 0; src < n; ++src) {
+            for (int dst = 0; dst < n; ++dst) {
+                StatsRegistry stats;
+                Mesh m(cfg, stats);
+                for (unsigned bytes : {8u, 72u}) {
+                    // Depart well after the previous message drained.
+                    const Cycle depart = bytes * 1000;
+                    EXPECT_EQ(m.route(src, dst, bytes, depart),
+                              depart + m.idealLatency(src, dst, bytes))
+                        << cols << "x" << rows << " " << src << "->"
+                        << dst << " bytes=" << bytes;
+                }
+                EXPECT_EQ(stats.get("noc.link_wait_cycles"), 0u);
+            }
+        }
+    }
 }
 
 TEST(Mesh, ContentionDelaysSecondMessage)

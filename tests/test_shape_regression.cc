@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <string>
 
+#include "campaign/run_request.hh"
 #include "core/crash_checker.hh"
 #include "core/system.hh"
 #include "sim/stats_json.hh"
@@ -128,6 +133,108 @@ TEST(ShapeRegression, StatsJsonByteIdenticalForFixedSeed)
         EXPECT_EQ(first, second) << toString(engine);
         EXPECT_NE(first.find("\"histograms\""), std::string::npos);
     }
+}
+
+namespace
+{
+
+/** 64-bit FNV-1a over the bytes of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+struct PinnedDigest
+{
+    const char *engine;
+    const char *bench;
+    std::uint64_t digest;
+};
+
+/**
+ * FNV-1a digests of statsJsonText for every engine name on radix and
+ * ocean_cp at seed 3, scale 0.3, 8 cores — the configuration
+ * tsoper_sim builds for `--engine=E --bench=B --seed=3 --scale=0.3`.
+ * A change that is meant to keep simulated behaviour (a data-structure
+ * or completion-plumbing refactor) must leave every entry unchanged.
+ * A change that moves behaviour on purpose regenerates the table from
+ * this test's failure output and explains the diff in CHANGES.md.
+ */
+const PinnedDigest kPinnedDigests[] = {
+    {"baseline", "radix", 0x07c90705679a677bull},
+    {"baseline-mesi", "radix", 0x42cdc6e36d9de392ull},
+    {"hwrp", "radix", 0x84da1b365bad16aeull},
+    {"bsp", "radix", 0x83d8f823d3561abcull},
+    {"bsp-slc", "radix", 0x3e0dd78d23f92f64ull},
+    {"bsp-slc-agb", "radix", 0x1bc42a7c059de297ull},
+    {"stw", "radix", 0xb55fbaea47239a55ull},
+    {"tsoper", "radix", 0xbd622d4351bc1e62ull},
+    {"baseline", "ocean_cp", 0xcae7813b1874bd27ull},
+    {"baseline-mesi", "ocean_cp", 0xf425a270060b2a87ull},
+    {"hwrp", "ocean_cp", 0xfe6d0592e0a3cb55ull},
+    {"bsp", "ocean_cp", 0x1ac1c9bb71eec068ull},
+    {"bsp-slc", "ocean_cp", 0x1966ca691ac45017ull},
+    {"bsp-slc-agb", "ocean_cp", 0x7666360cd8b82520ull},
+    {"stw", "ocean_cp", 0x5e749162fda49fc5ull},
+    {"tsoper", "ocean_cp", 0x6464e9fadb46415bull},
+};
+
+} // namespace
+
+TEST(ShapeRegression, StatsJsonMatchesPinnedDigests)
+{
+    // Unlike StatsJsonByteIdenticalForFixedSeed, which compares two
+    // runs of the same binary, this pins the bytes across commits.
+    std::string regenerated;
+    bool allMatch = true;
+    std::size_t checked = 0;
+    for (const char *bench : {"radix", "ocean_cp"}) {
+        for (const std::string &engine : engineNames()) {
+            campaign::RunRequest req;
+            req.engine = engine;
+            req.bench = bench;
+            req.seed = 3;
+            req.scale = 0.3;
+            SystemConfig cfg;
+            ASSERT_TRUE(campaign::resolveConfig(req, &cfg, nullptr));
+            const Workload w = generateByName(req.bench, cfg.numCores,
+                                              req.seed, req.scale);
+            System sys(cfg, w);
+            sys.run();
+            const std::uint64_t got = fnv1a(statsJsonText(sys.stats()));
+            char line[128];
+            std::snprintf(line, sizeof line,
+                          "    {\"%s\", \"%s\", 0x%016" PRIx64 "ull},\n",
+                          engine.c_str(), bench, got);
+            regenerated += line;
+            const PinnedDigest *pinned = nullptr;
+            for (const PinnedDigest &p : kPinnedDigests) {
+                if (engine == p.engine && std::string(bench) == p.bench)
+                    pinned = &p;
+            }
+            if (!pinned) {
+                allMatch = false;
+                ADD_FAILURE() << engine << "/" << bench
+                              << " has no pinned digest";
+                continue;
+            }
+            ++checked;
+            if (pinned->digest != got) {
+                allMatch = false;
+                ADD_FAILURE() << engine << "/" << bench
+                              << ": stats digest moved";
+            }
+        }
+    }
+    EXPECT_EQ(checked, std::size(kPinnedDigests));
+    EXPECT_TRUE(allMatch) << "regenerated kPinnedDigests:\n"
+                          << regenerated;
 }
 
 class CoreCountMatrix : public ::testing::TestWithParam<unsigned>

@@ -112,6 +112,14 @@ TEST(TraceIo, RejectsMalformedInput)
         std::stringstream ss("workload x cores=0\n");
         EXPECT_THROW(loadWorkload(ss), std::runtime_error); // Cores.
     }
+    // Header numbers parse whole and unnarrowed: trailing characters,
+    // a value that would wrap to a valid count, and non-digits.
+    for (const char *header :
+         {"workload x cores=8x\n", "workload x cores=4294967304\n",
+          "workload x cores=abc\n"}) {
+        std::stringstream ss(header);
+        EXPECT_THROW(loadWorkload(ss), std::runtime_error) << header;
+    }
 }
 
 TEST(TraceIo, FileRoundTrip)

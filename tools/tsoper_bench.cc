@@ -11,7 +11,7 @@
  * Options:
  *   --out=<file>     output path            (default BENCH_kernel.json)
  *   --quick          ~20x fewer events; for CI smoke, not for numbers
- *   --repeat=<n>     repetitions per pattern (default 3)
+ *   --repeat=<n>     repetitions per pattern, 1..1000 (default 3)
  *   --median         keep the median-wall-clock repetition instead of
  *                    the fastest (steadier on noisy/shared hosts)
  *   --verify-out     re-read the emitted JSON and validate the schema
@@ -49,6 +49,7 @@
 #include "core/system.hh"
 #include "kernel_patterns.hh"
 #include "sim/json.hh"
+#include "sim/parse.hh"
 #include "workload/generators.hh"
 
 #ifndef TSOPER_BENCH_PRESET
@@ -235,7 +236,15 @@ main(int argc, char **argv)
         } else if (arg == "--verify-out") {
             verifyOut = true;
         } else if (arg.rfind("--repeat=", 0) == 0) {
-            repeat = static_cast<unsigned>(std::stoul(arg.substr(9)));
+            std::uint64_t n = 0;
+            if (!parseUint(arg.substr(9), &n, 1000) || n == 0) {
+                std::fprintf(stderr,
+                             "--repeat expects an integer between 1 and "
+                             "1000, got '%s'\n",
+                             arg.substr(9).c_str());
+                return 2;
+            }
+            repeat = static_cast<unsigned>(n);
         } else if (arg == "--median") {
             median = true;
         } else if (arg == "--help" || arg == "-h") {

@@ -74,6 +74,7 @@
 #include "campaign/journal.hh"
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
+#include "sim/parse.hh"
 #include "workload/generators.hh"
 
 using namespace tsoper;
@@ -145,7 +146,7 @@ splitCsv(const std::string &s)
 }
 
 /**
- * Strict decimal parse (campaign::parseUint) for option values: the
+ * Strict decimal parse (parseUint, sim/parse.hh) for option values: the
  * result must land in [min, max], otherwise die with a message that
  * names the flag and its accepted range ("--jobs=8x" and "--jobs=0"
  * both get a real explanation, not a bare usage dump).

@@ -86,6 +86,7 @@
 #include "campaign/spec.hh"
 #include "core/system.hh"
 #include "sim/debug.hh"
+#include "sim/parse.hh"
 #include "sim/stats_json.hh"
 #include "sim/trace.hh"
 #include "workload/generators.hh"
@@ -177,14 +178,14 @@ runSelftest(const std::string &mode)
     std::exit(ExitUsage);
 }
 
-/** Option values go through the campaign layer's strict parsers; the
+/** Option values go through the strict parsers (sim/parse.hh); the
  *  throw lands in parseCli's "malformed value" usage error. */
 template <typename T>
 T
 uintOrThrow(const std::string &s)
 {
     std::uint64_t v = 0;
-    if (!campaign::parseUint(s, &v, std::numeric_limits<T>::max()))
+    if (!parseUint(s, &v, std::numeric_limits<T>::max()))
         throw std::invalid_argument(s);
     return static_cast<T>(v);
 }
@@ -193,7 +194,7 @@ double
 doubleOrThrow(const std::string &s)
 {
     double v = 0;
-    if (!campaign::parseDouble(s, &v))
+    if (!parseDouble(s, &v))
         throw std::invalid_argument(s);
     return v;
 }
