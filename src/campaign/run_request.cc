@@ -308,6 +308,14 @@ runOne(const RunRequest &r, const RunHooks &hooks)
         res.detail = "invalid workload: " + error;
         return res;
     }
+    if (w.perCore.size() != cfg.numCores) {
+        res.detail = "invalid workload: it has " +
+                     std::to_string(w.perCore.size()) +
+                     " cores but the run is configured for " +
+                     std::to_string(cfg.numCores) + " (set --cores=" +
+                     std::to_string(w.perCore.size()) + ")";
+        return res;
+    }
     res.ops = w.totalOps();
     res.stores = w.totalStores();
 

@@ -11,126 +11,34 @@ namespace tsoper
 MesiProtocol::MesiProtocol(const SystemConfig &cfg, EventQueue &eq,
                            Mesh &mesh, Llc &llc, Nvm &nvm,
                            StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm),
-      serializer_(eq), capacity_(cfg.dirEntriesPerBank, cfg.llcBanks,
-                                 cfg.dirEvictBufferEntries, stats),
-      txns_(stats), mshr_(eq, cfg.numCores, cfg.mshrEntries, stats),
-      banks_(cfg.llcBanks),
-      hits_(stats.counter("mesi.hits")),
-      misses_(stats.counter("mesi.misses")),
-      upgrades_(stats.counter("mesi.upgrades")),
-      coherenceWb_(stats.counter("traffic.coherence_wb"))
+    : DirectoryController(cfg, eq, mesh, llc, nvm, stats, "mesi"),
+      txns_(stats)
 {
-    nodes_.resize(cfg.numCores);
-    arrays_.reserve(cfg.numCores);
-    for (unsigned c = 0; c < cfg.numCores; ++c)
-        arrays_.emplace_back(cfg.privSets, cfg.privWays);
 }
 
 MesiProtocol::Node *
-MesiProtocol::findNode(CoreId core, LineAddr line)
-{
-    return nodes_[static_cast<unsigned>(core)].find(line);
-}
-
-const MesiProtocol::Node *
-MesiProtocol::findNode(CoreId core, LineAddr line) const
-{
-    return const_cast<MesiProtocol *>(this)->findNode(core, line);
-}
-
-MesiProtocol::Node &
-MesiProtocol::node(CoreId core, LineAddr line)
+MesiProtocol::loadHit(CoreId core, LineAddr line)
 {
     Node *n = findNode(core, line);
-    tsoper_assert(n, "missing MESI node: core=", core, " line=", line);
-    return *n;
+    if (!n || n->st == St::I)
+        return nullptr;
+    hits_.inc();
+    arrays_[static_cast<unsigned>(core)].touch(line);
+    return n;
 }
 
-void
-MesiProtocol::load(CoreId core, Addr addr, LoadDone done)
-{
-    issueLoad(core, addr, std::move(done), false);
-}
-
-void
-MesiProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
-{
-    issueStore(core, addr, store, std::move(done), false);
-}
-
-void
-MesiProtocol::issueLoad(CoreId core, Addr addr, LoadDone done, bool primary)
+bool
+MesiProtocol::storeHit(CoreId core, Addr addr, StoreId store)
 {
     const LineAddr line = lineOf(addr);
-    if (Node *n = findNode(core, line); n && n->st != St::I) {
-        hits_.inc();
-        arrays_[static_cast<unsigned>(core)].touch(line);
-        const StoreId value = n->words[wordOf(addr)];
-        eq_.scheduleIn(cfg_.privLatency,
-                       mshr_.completion(core, line, primary,
-                                        std::move(done), value));
-        return;
-    }
-    if (!mshr_.admit(core, line, &primary)) {
-        mshr_.defer(core, [this, addr, core,
-                           done = std::move(done)]() mutable {
-            load(core, addr, std::move(done));
-        });
-        return;
-    }
-    misses_.inc();
-    submitTxn(core, line,
-              [this, addr, core, primary,
-               done = std::move(done)](Cycle t) mutable {
-                  return loadTxn(core, addr, std::move(done), primary, t);
-              },
-              eq_.now() + cfg_.privLatency);
-}
-
-void
-MesiProtocol::issueStore(CoreId core, Addr addr, StoreId store,
-                         StoreDone done, bool primary)
-{
-    const LineAddr line = lineOf(addr);
-    if (Node *n = findNode(core, line);
-        n && (n->st == St::M || n->st == St::E)) {
-        hits_.inc();
-        arrays_[static_cast<unsigned>(core)].touch(line);
-        n->st = St::M;
-        n->words[wordOf(addr)] = store;
-        hooks_->onStoreCommitted(core, line, eq_.now());
-        logStore(core, addr, store);
-        eq_.scheduleIn(cfg_.privLatency,
-                       mshr_.completion(core, line, primary, std::move(done)));
-        return;
-    }
-    if (!mshr_.admit(core, line, &primary)) {
-        mshr_.defer(core, [this, addr, store, core,
-                           done = std::move(done)]() mutable {
-            this->store(core, addr, store, std::move(done));
-        });
-        return;
-    }
-    submitTxn(core, line,
-              [this, addr, store, core, primary,
-               done = std::move(done)](Cycle t) mutable {
-                  return storeTxn(core, addr, store, std::move(done),
-                                  primary, t);
-              },
-              eq_.now() + cfg_.privLatency);
-}
-
-template <typename Body>
-void
-MesiProtocol::submitTxn(CoreId core, LineAddr line, Body body,
-                        Cycle departAt)
-{
-    bus_.send(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
-              cfg_.ctrlMsgBytes, departAt,
-              [this, line, body = std::move(body)]() mutable {
-                  serializer_.submit(line, std::move(body));
-              });
+    Node *n = findNode(core, line);
+    if (!n || (n->st != St::M && n->st != St::E))
+        return false;
+    hits_.inc();
+    arrays_[static_cast<unsigned>(core)].touch(line);
+    n->st = St::M;
+    commitStore(*n, core, addr, store, eq_.now());
+    return true;
 }
 
 std::optional<Cycle>
@@ -166,123 +74,36 @@ MesiProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool primary,
         on.st = St::S;
         e.sharers = bit(o) | bit(core);
         e.owner = invalidCore;
-        Node &nn = nodes_[static_cast<unsigned>(core)][line];
-        nn.st = St::S;
-        nn.words = words;
-        nn.dataReadyAt = t; // Finalized before release by the reply leg.
-        insertResident(core, line, t);
-        capacity_.setPinned(line, true);
-        const StoreId value = words[wordOf(addr)];
-        bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
-                  cfg_.ctrlMsgBytes, t,
-                  [this, line, value, floor, o, core, wasM, primary,
-                   done = std::move(done)]() mutable {
-                      const Cycle ready = std::max(eq_.now(), floor);
-                      // The data reply leaves first (critical path)...
-                      const Cycle dataAt = bus_.send(
-                          bus_.coreNode(o), bus_.coreNode(core),
-                          lineBytes + cfg_.ctrlMsgBytes, ready,
-                          mshr_.completion(core, line, primary,
-                                           std::move(done), value));
-                      if (Node *n = findNode(core, line))
-                          n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                      if (wasM) {
-                          // ...then the MESI downgrade writeback
-                          // (traffic; the LLC contents moved at
-                          // dispatch).
-                          bus_.arrival(bus_.coreNode(o),
-                                       bus_.bankNode(bankOf(line)),
-                                       lineBytes + cfg_.ctrlMsgBytes,
-                                       ready);
-                      }
-                      finishTxn(line, dataAt);
-                  });
+        install(core, line, St::S, words, t);
+        forwardReply(o, core, line, t, floor, wasM, finishOnData(line),
+                     primary, std::move(done), words[wordOf(addr)]);
         return std::nullopt;
     }
-    if (e.sharers != 0 || llc_.contains(line)) {
-        if (llc_.contains(line)) {
-            const LineWords words = llc_.lookup(line);
-            e.sharers |= bit(core);
-            Node &nn = nodes_[static_cast<unsigned>(core)][line];
-            nn.st = St::S;
-            nn.words = words;
-            nn.dataReadyAt = t;
-            insertResident(core, line, t);
-            capacity_.setPinned(line, true);
-            const StoreId value = words[wordOf(addr)];
-            fillTiming(line, t, false,
-                       [this, line, value, core, primary,
-                        done = std::move(done)](Cycle at) mutable {
-                           const Cycle dataAt = bus_.send(
-                               bus_.bankNode(bankOf(line)),
-                               bus_.coreNode(core),
-                               lineBytes + cfg_.ctrlMsgBytes, at,
-                               mshr_.completion(core, line, primary,
-                                                std::move(done), value));
-                           if (Node *n = findNode(core, line))
-                               n->dataReadyAt =
-                                   std::max(n->dataReadyAt, dataAt);
-                           finishTxn(line, dataAt);
-                       });
-            return std::nullopt;
-        }
+    if (e.sharers != 0 && !llc_.contains(line)) {
         // LLC lost the shared copy; fetch from any sharer.
-        CoreId s = invalidCore;
-        for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
-            if (e.sharers & bit(c)) { s = c; break; }
-        tsoper_assert(s != invalidCore);
-        Node &sn = node(s, line);
+        const CoreId s = firstSharer(e);
+        const Node &sn = node(s, line);
         const Cycle floor = sn.dataReadyAt;
         const LineWords words = sn.words;
         llc_.install(line, words, false, t);
         e.sharers |= bit(core);
-        Node &nn = nodes_[static_cast<unsigned>(core)][line];
-        nn.st = St::S;
-        nn.words = words;
-        nn.dataReadyAt = t;
-        insertResident(core, line, t);
-        capacity_.setPinned(line, true);
-        const StoreId value = words[wordOf(addr)];
-        bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(s),
-                  cfg_.ctrlMsgBytes, t,
-                  [this, line, value, floor, s, core, primary,
-                   done = std::move(done)]() mutable {
-                      const Cycle ready = std::max(eq_.now(), floor);
-                      const Cycle dataAt = bus_.send(
-                          bus_.coreNode(s), bus_.coreNode(core),
-                          lineBytes + cfg_.ctrlMsgBytes, ready,
-                          mshr_.completion(core, line, primary,
-                                           std::move(done), value));
-                      if (Node *n = findNode(core, line))
-                          n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                      finishTxn(line, dataAt);
-                  });
+        install(core, line, St::S, words, t);
+        forwardReply(s, core, line, t, floor, false, finishOnData(line),
+                     primary, std::move(done), words[wordOf(addr)]);
         return std::nullopt;
     }
-    // Memory fill: E state (exclusive clean).  Contents resolve now;
-    // the LLC bank pipe and an NVM read behind it supply the timing.
-    const LineWords words = nvm_.durable(line);
-    llc_.install(line, words, false, t);
-    e.owner = core;
-    Node &nn = nodes_[static_cast<unsigned>(core)][line];
-    nn.st = St::E;
-    nn.words = words;
-    nn.dataReadyAt = t;
-    insertResident(core, line, t);
-    capacity_.setPinned(line, true);
-    const StoreId value = words[wordOf(addr)];
-    fillTiming(line, t, true,
-               [this, line, value, core, primary,
-                done = std::move(done)](Cycle at) mutable {
-                   const Cycle dataAt = bus_.send(
-                       bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-                       lineBytes + cfg_.ctrlMsgBytes, at,
-                       mshr_.completion(core, line, primary,
-                                        std::move(done), value));
-                   if (Node *n = findNode(core, line))
-                       n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                   finishTxn(line, dataAt);
-               });
+    // Fill: a shared copy from the LLC, or from memory in E state
+    // (exclusive clean).  Contents resolve now; the LLC bank pipe (and
+    // an NVM read behind it) supply the timing.
+    bool fromNvm = false;
+    const LineWords words = readMemory(line, t, &fromNvm);
+    if (fromNvm)
+        e.owner = core;
+    else
+        e.sharers |= bit(core);
+    install(core, line, fromNvm ? St::E : St::S, words, t);
+    replyAfterFill(core, line, t, fromNvm, freeOnData, primary,
+                   std::move(done), words[wordOf(addr)]);
     return std::nullopt;
 }
 
@@ -303,9 +124,7 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         n && (n->st == St::M || n->st == St::E)) {
         // Raced: already exclusive.
         n->st = St::M;
-        n->words[wordOf(addr)] = store;
-        hooks_->onStoreCommitted(core, line, t);
-        logStore(core, addr, store);
+        commitStore(*n, core, addr, store, t);
         mshr_.complete(core, line, primary, done, t + dirLatency_);
         return t + dirLatency_;
     }
@@ -317,9 +136,8 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         // Owner invalidation + data forward, as one message chain.
         const CoreId o = e.owner;
         Node &on = node(o, line);
-        const bool wasM = (on.st == St::M);
         Cycle exposeReady = t;
-        if (wasM)
+        if (on.st == St::M)
             exposeReady = hooks_->onDirtyExpose(o, line, core, true, t);
         const Cycle floor = std::max(on.dataReadyAt, exposeReady);
         const LineWords words = on.words;
@@ -327,54 +145,23 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         nodes_[static_cast<unsigned>(o)].erase(line);
         e.sharers = 0;
         e.owner = core;
-        Node &nn = nodes_[static_cast<unsigned>(core)][line];
-        nn.st = St::M;
-        nn.words = words;
-        nn.words[wordOf(addr)] = store;
-        nn.dataReadyAt = t;
-        insertResident(core, line, t);
-        hooks_->onStoreCommitted(core, line, t);
-        logStore(core, addr, store);
-        capacity_.setPinned(line, true);
-        bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(o),
-                  cfg_.ctrlMsgBytes, t,
-                  [this, line, floor, o, core, primary,
-                   done = std::move(done)]() mutable {
-                      const Cycle ready = std::max(eq_.now(), floor);
-                      const Cycle dataAt = bus_.send(
-                          bus_.coreNode(o), bus_.coreNode(core),
-                          lineBytes + cfg_.ctrlMsgBytes, ready,
-                          mshr_.completion(core, line, primary,
-                                           std::move(done)));
-                      if (Node *n = findNode(core, line))
-                          n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                      finishTxn(line, dataAt);
-                  });
+        install(core, line, St::M, words, t);
+        commitStore(node(core, line), core, addr, store, t);
+        forwardReply(o, core, line, t, floor, false, finishOnData(line),
+                     primary, std::move(done));
         return std::nullopt;
     }
     if (mine && mine->st == St::S) {
-        // S -> M upgrade: a TxnTable entry collects one ack per
-        // invalidated sharer plus the home's permission grant; the SB
-        // drains when the last leg lands.
+        // S -> M upgrade: the SB drains when the last invalidation ack
+        // and the home's permission grant have landed.
         upgrades_.inc();
-        unsigned numInv = 0;
-        for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
-            if ((e.sharers & bit(c)) && c != core)
-                ++numInv;
-        const TxnTable::Id id = txns_.begin(
-            line, core, numInv + 1,
-            upgradeDone(core, line, primary, std::move(done)));
-        sendInvalidations(line, core, core, t, id);
-        bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-                  cfg_.ctrlMsgBytes, t,
-                  [this, id] { txns_.legDone(id, eq_.now()); });
-        e.sharers = 0;
-        e.owner = core;
+        const TxnTable::Id id =
+            takeExclusive(line, core, t, primary, std::move(done));
+        send(homeNode(line), coreNode(core), cfg_.ctrlMsgBytes, t,
+             [this, id] { txns_.legDone(id, eq_.now()); });
         mine->st = St::M;
-        mine->words[wordOf(addr)] = store;
         insertResident(core, line, t);
-        hooks_->onStoreCommitted(core, line, t);
-        logStore(core, addr, store);
+        commitStore(*mine, core, addr, store, t);
         capacity_.setPinned(line, true);
         return std::nullopt;
     }
@@ -383,136 +170,87 @@ MesiProtocol::storeTxn(CoreId core, Addr addr, StoreId store,
         // Data from the LLC (or a sharer when the LLC lost the copy)
         // plus one invalidation ack per sharer: the data leg and the
         // acks race, and the TxnTable folds their arrivals.
-        LineWords words;
-        if (llc_.contains(line)) {
-            words = llc_.lookup(line);
-        } else {
-            CoreId s = invalidCore;
-            for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
-                if (e.sharers & bit(c)) { s = c; break; }
-            tsoper_assert(s != invalidCore);
-            words = node(s, line).words;
-        }
-        unsigned numInv = 0;
-        for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
-            if ((e.sharers & bit(c)) && c != core)
-                ++numInv;
-        const TxnTable::Id id = txns_.begin(
-            line, core, numInv + 1,
-            upgradeDone(core, line, primary, std::move(done)));
-        sendInvalidations(line, core, core, t, id);
-        e.sharers = 0;
-        e.owner = core;
-        Node &nn = nodes_[static_cast<unsigned>(core)][line];
-        nn.st = St::M;
-        nn.words = words;
-        nn.words[wordOf(addr)] = store;
-        nn.dataReadyAt = t;
-        insertResident(core, line, t);
-        hooks_->onStoreCommitted(core, line, t);
-        logStore(core, addr, store);
-        capacity_.setPinned(line, true);
+        const LineWords words = llc_.contains(line)
+                                    ? llc_.lookup(line)
+                                    : node(firstSharer(e), line).words;
+        const TxnTable::Id id =
+            takeExclusive(line, core, t, primary, std::move(done));
+        install(core, line, St::M, words, t);
+        commitStore(node(core, line), core, addr, store, t);
         fillTiming(line, t, false, [this, line, core, id](Cycle at) {
-            bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-                      lineBytes + cfg_.ctrlMsgBytes, at,
-                      [this, id] { txns_.legDone(id, eq_.now()); });
+            send(homeNode(line), coreNode(core),
+                 lineBytes + cfg_.ctrlMsgBytes, at,
+                 [this, id] { txns_.legDone(id, eq_.now()); });
         });
         return std::nullopt;
     }
     // Memory fill straight to M.
-    const LineWords memWords = nvm_.durable(line);
-    llc_.install(line, memWords, false, t);
+    bool fromNvm = false;
+    const LineWords words = readMemory(line, t, &fromNvm);
     e.sharers = 0;
     e.owner = core;
-    Node &nn = nodes_[static_cast<unsigned>(core)][line];
-    nn.st = St::M;
-    nn.words = memWords;
-    nn.words[wordOf(addr)] = store;
-    nn.dataReadyAt = t;
-    insertResident(core, line, t);
-    hooks_->onStoreCommitted(core, line, t);
-    logStore(core, addr, store);
-    capacity_.setPinned(line, true);
-    fillTiming(line, t, true,
-               [this, line, core, primary,
-                done = std::move(done)](Cycle at) mutable {
-                   const Cycle dataAt = bus_.send(
-                       bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-                       lineBytes + cfg_.ctrlMsgBytes, at,
-                       mshr_.completion(core, line, primary, std::move(done)));
-                   if (Node *n = findNode(core, line))
-                       n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                   finishTxn(line, dataAt);
-               });
+    install(core, line, St::M, words, t);
+    commitStore(node(core, line), core, addr, store, t);
+    replyAfterFill(core, line, t, fromNvm, freeOnData, primary,
+                   std::move(done));
     return std::nullopt;
 }
 
-TxnTable::Completion
-MesiProtocol::upgradeDone(CoreId core, LineAddr line, bool primary,
-                          StoreDone done)
-{
-    return [this, line, core, primary,
-            done = std::move(done)](Cycle readyAt) mutable {
-        if (Node *n = findNode(core, line))
-            n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
-        mshr_.complete(core, line, primary, done, readyAt);
-        finishTxn(line, readyAt);
-    };
-}
-
-template <typename Finish>
 void
-MesiProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm,
-                         Finish finish)
+MesiProtocol::install(CoreId core, LineAddr line, St st,
+                      const LineWords &words, Cycle t)
 {
-    llc_.accessAsync(line, t,
-                     [this, line, fromNvm,
-                      finish = std::move(finish)](Cycle at) mutable {
-                         if (fromNvm)
-                             at = nvm_.read(line, at);
-                         finish(at);
-                     });
+    Node &n = nodes_[static_cast<unsigned>(core)][line];
+    n.st = st;
+    n.words = words;
+    n.dataReadyAt = t; // Finalized before release by the reply leg.
+    insertResident(core, line, t);
+    capacity_.setPinned(line, true);
 }
 
-void
-MesiProtocol::finishTxn(LineAddr line, Cycle at)
+CoreId
+MesiProtocol::firstSharer(const Entry &e) const
 {
-    capacity_.setPinned(line, false);
-    serializer_.releaseAt(line, at);
+    for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
+        if (e.sharers & bit(c))
+            return c;
+    tsoper_panic("no sharer to fetch from");
 }
 
-unsigned
-MesiProtocol::sendInvalidations(LineAddr line, CoreId except,
-                                CoreId requester, Cycle t, TxnTable::Id txn)
+TxnTable::Id
+MesiProtocol::takeExclusive(LineAddr line, CoreId core, Cycle t,
+                            bool primary, StoreDone done)
 {
     Entry &e = entries_[line];
-    unsigned sent = 0;
+    unsigned numInv = 0;
+    for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c)
+        if ((e.sharers & bit(c)) && c != core)
+            ++numInv;
+    const TxnTable::Id id = txns_.begin(
+        line, core, numInv + 1,
+        [this, line, core, primary,
+         done = std::move(done)](Cycle readyAt) mutable {
+            if (Node *n = findNode(core, line))
+                n->dataReadyAt = std::max(n->dataReadyAt, readyAt);
+            mshr_.complete(core, line, primary, done, readyAt);
+            finishTxn(line, readyAt);
+        });
     for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c) {
-        if (!(e.sharers & bit(c)) || c == except)
+        if (!(e.sharers & bit(c)) || c == core)
             continue;
-        ++sent;
         // State commits now; the inv and its ack are timing legs.
         arrays_[static_cast<unsigned>(c)].erase(line);
         nodes_[static_cast<unsigned>(c)].erase(line);
-        bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(c),
-                  cfg_.ctrlMsgBytes, t, [this, c, requester, txn] {
-                      bus_.send(bus_.coreNode(c), bus_.coreNode(requester),
-                                cfg_.ctrlMsgBytes, eq_.now(), [this, txn] {
-                                    txns_.legDone(txn, eq_.now());
-                                });
-                  });
+        send(homeNode(line), coreNode(c), cfg_.ctrlMsgBytes, t,
+             [this, c, core, id] {
+                 send(coreNode(c), coreNode(core), cfg_.ctrlMsgBytes,
+                      eq_.now(),
+                      [this, id] { txns_.legDone(id, eq_.now()); });
+             });
     }
-    e.sharers &= bit(except);
-    return sent;
-}
-
-void
-MesiProtocol::insertResident(CoreId core, LineAddr line, Cycle t)
-{
-    auto result = arrays_[static_cast<unsigned>(core)].insert(line);
-    tsoper_assert(!result.noSpace, "private cache set fully pinned");
-    if (result.evicted)
-        handleVictim(core, result.victim, t);
+    e.sharers = 0;
+    e.owner = core;
+    return id;
 }
 
 void
@@ -521,15 +259,12 @@ MesiProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
     Node &v = node(core, victim);
     Entry &e = entries_[victim];
     if (v.st == St::M) {
-        llc_.install(victim, v.words, true, t);
-        coherenceWb_.inc();
-        bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(victim)),
-                    lineBytes + cfg_.ctrlMsgBytes, t);
+        writeBack(core, victim, v.words, t);
         hooks_->onDirtyEvict(core, victim, ExposeReason::Eviction, t);
     } else {
         // Silent clean eviction; notify the directory (traffic only).
-        bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(victim)),
-                    cfg_.ctrlMsgBytes, t);
+        mesh_.route(coreNode(core), homeNode(victim), cfg_.ctrlMsgBytes,
+                    t);
     }
     if (e.owner == core)
         e.owner = invalidCore;
@@ -546,10 +281,7 @@ MesiProtocol::teardownEntry(LineAddr victim, Cycle t)
         const CoreId o = e.owner;
         Node &on = node(o, victim);
         if (on.st == St::M) {
-            llc_.install(victim, on.words, true, t);
-            coherenceWb_.inc();
-            bus_.arrival(bus_.coreNode(o), bus_.bankNode(bankOf(victim)),
-                        lineBytes + cfg_.ctrlMsgBytes, t);
+            writeBack(o, victim, on.words, t);
             hooks_->onDirtyEvict(o, victim, ExposeReason::DirEviction, t);
         }
         arrays_[static_cast<unsigned>(o)].erase(victim);
@@ -559,8 +291,7 @@ MesiProtocol::teardownEntry(LineAddr victim, Cycle t)
     for (CoreId c = 0; c < static_cast<CoreId>(cfg_.numCores); ++c) {
         if (!(e.sharers & bit(c)))
             continue;
-        bus_.arrival(bus_.bankNode(bankOf(victim)), bus_.coreNode(c),
-                    cfg_.ctrlMsgBytes, t);
+        mesh_.route(homeNode(victim), coreNode(c), cfg_.ctrlMsgBytes, t);
         arrays_[static_cast<unsigned>(c)].erase(victim);
         nodes_[static_cast<unsigned>(c)].erase(victim);
     }
@@ -589,9 +320,7 @@ MesiProtocol::isModified(CoreId core, LineAddr line) const
 const LineWords &
 MesiProtocol::lineWords(CoreId core, LineAddr line) const
 {
-    const Node *n = findNode(core, line);
-    tsoper_assert(n, "lineWords on absent node");
-    return n->words;
+    return node(core, line).words;
 }
 
 void
@@ -608,11 +337,7 @@ MesiProtocol::flushLine(CoreId core, LineAddr line, Cycle earliest,
             done(eq_.now(), false);
             return;
         }
-        const Cycle at =
-            bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
-                        lineBytes + cfg_.ctrlMsgBytes, eq_.now());
-        llc_.install(line, n->words, true, eq_.now());
-        coherenceWb_.inc();
+        const Cycle at = writeBack(core, line, n->words, eq_.now());
         n->st = St::E;
         done(at, true);
     });

@@ -16,24 +16,19 @@
  *
  * Blocking is implemented event-driven: state commits at dispatch, the
  * timing legs (forwards, invalidations + acks, data replies) travel as
- * real messages, and a TxnTable entry holds the line's serializer slot
- * until the last leg lands (LineSerializer::releaseAt).
+ * real messages, and the line's serializer slot is held until the last
+ * leg lands (LineSerializer::releaseAt): the data reply for a fill or a
+ * forward (DirectoryController's reply shapes, coherence/directory.hh),
+ * or a TxnTable entry's last ack for a store that invalidates sharers.
  */
 
 #ifndef TSOPER_COHERENCE_MESI_HH
 #define TSOPER_COHERENCE_MESI_HH
 
 #include <functional>
-#include <vector>
 
 #include "coherence/directory.hh"
-#include "coherence/protocol.hh"
 #include "coherence/txn.hh"
-#include "mem/cache_array.hh"
-#include "mem/llc.hh"
-#include "mem/nvm.hh"
-#include "noc/mesh.hh"
-#include "noc/message_bus.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/line_map.hh"
@@ -42,15 +37,23 @@
 namespace tsoper
 {
 
-class MesiProtocol : public CoherenceProtocol
+/** One private cache's copy of a line (MesiProtocol's per-core line
+ *  state). */
+struct MesiNode
+{
+    enum class St { I, S, E, M };
+
+    St st = St::I;
+    Cycle dataReadyAt = 0;
+    LineWords words{};
+};
+
+class MesiProtocol : public DirectoryController<MesiProtocol, MesiNode>
 {
   public:
     MesiProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
                  Llc &llc, Nvm &nvm, StatsRegistry &stats);
 
-    void load(CoreId core, Addr addr, LoadDone done) override;
-    void store(CoreId core, Addr addr, StoreId store,
-               StoreDone done) override;
     ProtocolComplexity complexity() const override;
 
     // --- BSP engine API -----------------------------------------------
@@ -74,14 +77,9 @@ class MesiProtocol : public CoherenceProtocol
                    std::function<void(Cycle, bool)> done);
 
   private:
-    enum class St { I, S, E, M };
-
-    struct Node
-    {
-        St st = St::I;
-        Cycle dataReadyAt = 0;
-        LineWords words{};
-    };
+    friend class DirectoryController<MesiProtocol, MesiNode>;
+    using Node = MesiNode;
+    using St = MesiNode::St;
 
     struct Entry
     {
@@ -91,28 +89,10 @@ class MesiProtocol : public CoherenceProtocol
 
     static std::uint64_t bit(CoreId c) { return 1ull << c; }
 
-    unsigned bankOf(LineAddr line) const
-    {
-        return static_cast<unsigned>(line) & (banks_ - 1);
-    }
-
-    Node *findNode(CoreId core, LineAddr line);
-    const Node *findNode(CoreId core, LineAddr line) const;
-    Node &node(CoreId core, LineAddr line);
-
-    /** load()/store() with the request's MSHR state (same contract
-     *  as SlcProtocol's: the leg that completes a primary miss frees
-     *  its register). */
-    void issueLoad(CoreId core, Addr addr, LoadDone done, bool primary);
-    void issueStore(CoreId core, Addr addr, StoreId store, StoreDone done,
-                    bool primary);
-
-    /** Completion of a store that waits on invalidation acks. */
-    TxnTable::Completion upgradeDone(CoreId core, LineAddr line,
-                                     bool primary, StoreDone done);
-
-    template <typename Body>
-    void submitTxn(CoreId core, LineAddr line, Body body, Cycle departAt);
+    /** DirectoryController's hit tests: a load hits any valid copy; a
+     *  store hits an exclusive (E/M) copy and commits there. */
+    Node *loadHit(CoreId core, LineAddr line);
+    bool storeHit(CoreId core, Addr addr, StoreId store);
 
     /** Transaction bodies (run at directory dispatch).  nullopt means
      *  the body deferred: the line is held until the last timing leg
@@ -122,53 +102,43 @@ class MesiProtocol : public CoherenceProtocol
     std::optional<Cycle> storeTxn(CoreId core, Addr addr, StoreId store,
                                   StoreDone done, bool primary, Cycle t);
 
+    /** Install (core, line) in state @p st with @p words, ready from
+     *  @p t and resident in the core's cache, and pin the line's entry:
+     *  every MESI transaction that installs a copy holds its line until
+     *  the last leg lands. */
+    void install(CoreId core, LineAddr line, St st, const LineWords &words,
+                 Cycle t);
+
+    /** The blocking directory's release, for both reply shapes: the
+     *  line frees when the data reaches the requester. */
+    static Cycle freeOnData(Cycle, Cycle dataAt) { return dataAt; }
+    auto
+    finishOnData(LineAddr line)
+    {
+        return [this, line](Cycle dataAt) { finishTxn(line, dataAt); };
+    }
+
+    /** Lowest-numbered core in @p e 's sharer set (which is non-empty). */
+    CoreId firstSharer(const Entry &e) const;
+
     /**
-     * Timing tail of a memory fill: async LLC bank access, an NVM read
-     * behind it on an LLC miss.  @p finish (a void(Cycle) callable)
-     * runs at the directory with the cycle the data is at the bank.
+     * Take @p line exclusive for @p core 's store: open a TxnTable
+     * entry waiting on one ack per other sharer plus one data/grant
+     * leg, and invalidate those sharers (state commits now; each inv
+     * travels as a message and its ack, sharer -> requester, reports a
+     * leg).  The entry's completion raises the requester's dataReadyAt,
+     * completes the store and frees the line.  @return the entry, for
+     * the caller's data/grant leg.
      */
-    template <typename Finish>
-    void fillTiming(LineAddr line, Cycle t, bool fromNvm, Finish finish);
+    TxnTable::Id takeExclusive(LineAddr line, CoreId core, Cycle t,
+                               bool primary, StoreDone done);
 
-    /** Retire a deferred transaction: unpin the directory entry and
-     *  free the line's serializer slot at @p at. */
-    void finishTxn(LineAddr line, Cycle at);
-
-    /**
-     * Invalidate all sharers except @p except (state commits now); each
-     * sharer's inv travels as a message and its ack (sharer ->
-     * requester) reports a leg of @p txn.  @return the number of
-     * invalidation legs sent.
-     */
-    unsigned sendInvalidations(LineAddr line, CoreId except,
-                               CoreId requester, Cycle t, TxnTable::Id txn);
-
-    void insertResident(CoreId core, LineAddr line, Cycle t);
     void handleVictim(CoreId core, LineAddr victim, Cycle t);
     void teardownEntry(LineAddr victim, Cycle t);
     void maybeReleaseEntry(LineAddr line);
 
-    const SystemConfig &cfg_;
-    EventQueue &eq_;
-    /** Explicit cross-tile message path (noc/message_bus.hh). */
-    MessageBus bus_;
-    Llc &llc_;
-    Nvm &nvm_;
-    LineSerializer serializer_;
-    DirectoryCapacity capacity_;
     TxnTable txns_;
-    Mshr mshr_;
-    unsigned banks_;
-    Cycle dirLatency_ = 6;
-
-    std::vector<LineMap<Node>> nodes_;
-    std::vector<CacheArray> arrays_;
     LineMap<Entry> entries_;
-
-    Counter &hits_;
-    Counter &misses_;
-    Counter &upgrades_;
-    Counter &coherenceWb_;
 };
 
 } // namespace tsoper

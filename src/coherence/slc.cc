@@ -12,138 +12,43 @@ namespace tsoper
 
 SlcProtocol::SlcProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
                          Llc &llc, Nvm &nvm, StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm),
-      stats_(stats),
-      serializer_(eq), capacity_(cfg.dirEntriesPerBank, cfg.llcBanks,
-                                 cfg.dirEvictBufferEntries, stats),
-      mshr_(eq, cfg.numCores, cfg.mshrEntries, stats),
-      banks_(cfg.llcBanks), evictBufOcc_(cfg.numCores, 0),
-      hits_(stats.counter("slc.hits")),
-      misses_(stats.counter("slc.misses")),
-      upgrades_(stats.counter("slc.upgrades")),
-      coherenceWb_(stats.counter("traffic.coherence_wb")),
+    : DirectoryController(cfg, eq, mesh, llc, nvm, stats, "slc"),
+      evictBufOcc_(cfg.numCores, 0),
       persistListLen_(stats.histogram("slc.persist_list_len")),
       coherenceListLen_(stats.histogram("slc.coherence_list_len")),
       evictBufHist_(stats.histogram("slc.evict_buffer_occupancy"))
 {
-    nodes_.resize(cfg.numCores);
-    arrays_.reserve(cfg.numCores);
-    for (unsigned c = 0; c < cfg.numCores; ++c)
-        arrays_.emplace_back(cfg.privSets, cfg.privWays);
 }
+
+// --------------------------------------------------------------------
+// Hit tests
+// --------------------------------------------------------------------
 
 SlcProtocol::Node *
-SlcProtocol::findNode(CoreId core, LineAddr line)
-{
-    return nodes_[static_cast<unsigned>(core)].find(line);
-}
-
-const SlcProtocol::Node *
-SlcProtocol::findNode(CoreId core, LineAddr line) const
-{
-    return const_cast<SlcProtocol *>(this)->findNode(core, line);
-}
-
-SlcProtocol::Node &
-SlcProtocol::node(CoreId core, LineAddr line)
+SlcProtocol::loadHit(CoreId core, LineAddr line)
 {
     Node *n = findNode(core, line);
-    tsoper_assert(n, "missing SLC node: core=", core, " line=", line);
-    return *n;
-}
-
-// --------------------------------------------------------------------
-// Public access paths
-// --------------------------------------------------------------------
-
-void
-SlcProtocol::load(CoreId core, Addr addr, LoadDone done)
-{
-    issueLoad(core, addr, std::move(done), false);
-}
-
-void
-SlcProtocol::store(CoreId core, Addr addr, StoreId store, StoreDone done)
-{
-    issueStore(core, addr, store, std::move(done), false);
-}
-
-void
-SlcProtocol::issueLoad(CoreId core, Addr addr, LoadDone done, bool primary)
-{
-    const LineAddr line = lineOf(addr);
-    if (Node *n = findNode(core, line); n && n->valid) {
-        hits_.inc();
-        if (!n->evicted)
-            arrays_[static_cast<unsigned>(core)].touch(line);
-        const StoreId value = n->words[wordOf(addr)];
-        eq_.scheduleIn(cfg_.privLatency,
-                       mshr_.completion(core, line, primary,
-                                        std::move(done), value));
-        return;
-    }
-    if (!mshr_.admit(core, line, &primary)) {
-        mshr_.defer(core, [this, addr, core,
-                           done = std::move(done)]() mutable {
-            load(core, addr, std::move(done));
-        });
-        return;
-    }
-    misses_.inc();
-    submitTxn(core, line,
-              [this, addr, core, primary,
-               done = std::move(done)](Cycle t) mutable {
-                  return loadTxn(core, addr, std::move(done), primary, t);
-              },
-              eq_.now() + cfg_.privLatency);
-}
-
-void
-SlcProtocol::issueStore(CoreId core, Addr addr, StoreId store,
-                        StoreDone done, bool primary)
-{
-    const LineAddr line = lineOf(addr);
-    if (Node *n = findNode(core, line);
-        n && n->valid && !n->evicted && n->bwd == invalidCore &&
-        (n->dirty || n->fwd == invalidCore)) {
-        // Silent write: we are the head and either already the
-        // exclusive writer or the sole copy (E-like upgrade).
-        hits_.inc();
+    if (!n || !n->valid)
+        return nullptr;
+    hits_.inc();
+    if (!n->evicted)
         arrays_[static_cast<unsigned>(core)].touch(line);
-        n->words[wordOf(addr)] = store;
-        n->dirty = true;
-        hooks_->onStoreCommitted(core, line, eq_.now());
-        logStore(core, addr, store);
-        eq_.scheduleIn(cfg_.privLatency,
-                       mshr_.completion(core, line, primary, std::move(done)));
-        return;
-    }
-    if (!mshr_.admit(core, line, &primary)) {
-        mshr_.defer(core, [this, addr, store, core,
-                           done = std::move(done)]() mutable {
-            this->store(core, addr, store, std::move(done));
-        });
-        return;
-    }
-    submitTxn(core, line,
-              [this, addr, store, core, primary,
-               done = std::move(done)](Cycle t) mutable {
-                  return storeTxn(core, addr, store, std::move(done),
-                                  primary, t);
-              },
-              eq_.now() + cfg_.privLatency);
+    return n;
 }
 
-template <typename Body>
-void
-SlcProtocol::submitTxn(CoreId core, LineAddr line, Body body,
-                       Cycle departAt)
+bool
+SlcProtocol::storeHit(CoreId core, Addr addr, StoreId store)
 {
-    bus_.send(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
-              cfg_.ctrlMsgBytes, departAt,
-              [this, line, body = std::move(body)]() mutable {
-                  serializer_.submit(line, std::move(body));
-              });
+    const LineAddr line = lineOf(addr);
+    Node *n = findNode(core, line);
+    if (!n || !n->valid || n->evicted || n->bwd != invalidCore ||
+        (!n->dirty && n->fwd != invalidCore))
+        return false;
+    hits_.inc();
+    arrays_[static_cast<unsigned>(core)].touch(line);
+    n->dirty = true;
+    commitStore(*n, core, addr, store, eq_.now());
+    return true;
 }
 
 bool
@@ -210,46 +115,13 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool primary,
     // re-created the entry.
     const CoreId h = entries_[line].head;
     if (h == invalidCore || !node(h, line).valid) {
-        // No valid cached copy: the LLC (or NVM) holds the current
-        // version (invalid heads imply their successors' versions
-        // already reached the LLC).  Contents resolve now — they are
-        // directory-side state — while the timing goes through the
-        // bank pipe and a data-reply message; the line stays held (and
-        // its entry pinned against teardown) until the pipe answers,
-        // so dataReadyAt is final before the next same-line dispatch.
-        const bool fromNvm = !llc_.contains(line);
-        LineWords words;
-        if (fromNvm) {
-            words = nvm_.durable(line);
-            llc_.install(line, words, false, t);
-        } else {
-            words = llc_.lookup(line);
-        }
-        Node &nn = prependNode(core, line);
-        nn.words = words;
-        insertResident(core, line, t);
+        bool fromNvm = false;
+        const LineWords words = linkFill(core, line, t, &fromNvm);
         if (relinked)
             hooks_->onNodeRelinked(core, line, t);
         sampleListStats(line);
-        capacity_.setPinned(line, true);
-        const StoreId value = words[wordOf(addr)];
-        const Cycle freeNoEarlier = t + dirLatency_;
-        fillTiming(line, t, fromNvm,
-                   [this, line, value, freeNoEarlier, core, primary,
-                    done = std::move(done)](Cycle at) mutable {
-                       const Cycle dataAt = bus_.send(
-                           bus_.bankNode(bankOf(line)),
-                           bus_.coreNode(core),
-                           lineBytes + cfg_.ctrlMsgBytes, at,
-                           mshr_.completion(core, line, primary,
-                                            std::move(done), value));
-                       if (Node *n = findNode(core, line))
-                           n->dataReadyAt =
-                               std::max(n->dataReadyAt, dataAt);
-                       capacity_.setPinned(line, false);
-                       serializer_.releaseAt(
-                           line, std::max(eq_.now(), freeNoEarlier));
-                   });
+        replyAfterFill(core, line, t, fromNvm, fillRelease(t), primary,
+                       std::move(done), words[wordOf(addr)]);
         return std::nullopt;
     }
 
@@ -272,46 +144,14 @@ SlcProtocol::loadTxn(CoreId core, Addr addr, LoadDone done, bool primary,
         wb = true;
     }
     const Cycle floor = std::max(hn.dataReadyAt, exposeReady);
-    const LineWords words = hn.words;
-    Node &nn = prependNode(core, line);
-    nn.words = words;
-    // Estimate until the reply lands (uncontended legs); subsequent
-    // same-line forwards read this as their data-readiness floor.
-    nn.dataReadyAt =
-        std::max(t + bus_.idealLatency(bus_.bankNode(bankOf(line)),
-                                       bus_.coreNode(h),
-                                       cfg_.ctrlMsgBytes),
-                 floor) +
-        bus_.idealLatency(bus_.coreNode(h), bus_.coreNode(core),
-                          lineBytes + cfg_.ctrlMsgBytes);
-    insertResident(core, line, t);
+    const StoreId value = hn.words[wordOf(addr)];
+    linkForward(core, h, line, floor, t);
     if (sourceDirty)
         hooks_->onReadDependence(core, line, t);
     if (relinked)
         hooks_->onNodeRelinked(core, line, t);
-    const StoreId value = words[wordOf(addr)];
-    bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
-              cfg_.ctrlMsgBytes, t,
-              [this, line, value, floor, h, core, wb, primary,
-               done = std::move(done)]() mutable {
-                  const Cycle ready = std::max(eq_.now(), floor);
-                  // The data reply leaves first (critical path)...
-                  const Cycle dataAt = bus_.send(
-                      bus_.coreNode(h), bus_.coreNode(core),
-                      lineBytes + cfg_.ctrlMsgBytes, ready,
-                      mshr_.completion(core, line, primary,
-                                       std::move(done), value));
-                  if (Node *n = findNode(core, line))
-                      n->dataReadyAt = std::max(n->dataReadyAt, dataAt);
-                  if (wb) {
-                      // ...then the conventional downgrade writeback
-                      // travels home (traffic accounting; the LLC
-                      // contents moved at dispatch).
-                      bus_.arrival(bus_.coreNode(h),
-                                   bus_.bankNode(bankOf(line)),
-                                   lineBytes + cfg_.ctrlMsgBytes, ready);
-                  }
-              });
+    forwardReply(h, core, line, t, floor, wb, [](Cycle) {}, primary,
+                 std::move(done), value);
     sampleListStats(line);
     return t + dirLatency_;
 }
@@ -382,46 +222,18 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
         }
         // Permission grant travels as a message; the SB drains when it
         // lands (write permission already held functionally — OBS 3).
-        const Cycle permissionAt =
-            bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(core),
-                      cfg_.ctrlMsgBytes, t,
-                      mshr_.completion(core, line, primary, std::move(done)));
-        n->dataReadyAt = std::max(n->dataReadyAt, permissionAt);
+        reply(homeNode(line), core, line, cfg_.ctrlMsgBytes, t, primary,
+              std::move(done));
     } else {
         misses_.inc();
         const CoreId h = entries_[line].head;
         if (h == invalidCore || !node(h, line).valid) {
             // Fill from the LLC/NVM: blocking (the pipe reply frees the
             // line), same shape as the load-miss path.
-            const bool fromNvm = !llc_.contains(line);
-            LineWords words;
-            if (fromNvm) {
-                words = nvm_.durable(line);
-                llc_.install(line, words, false, t);
-            } else {
-                words = llc_.lookup(line);
-            }
-            Node &nn = prependNode(core, line);
-            nn.words = words;
-            insertResident(core, line, t);
-            capacity_.setPinned(line, true);
-            const Cycle freeNoEarlier = t + dirLatency_;
-            fillTiming(line, t, fromNvm,
-                       [this, line, freeNoEarlier, core, primary,
-                        done = std::move(done)](Cycle at) mutable {
-                           const Cycle dataAt = bus_.send(
-                               bus_.bankNode(bankOf(line)),
-                               bus_.coreNode(core),
-                               lineBytes + cfg_.ctrlMsgBytes, at,
-                               mshr_.completion(core, line, primary,
-                                                std::move(done)));
-                           if (Node *p = findNode(core, line))
-                               p->dataReadyAt =
-                                   std::max(p->dataReadyAt, dataAt);
-                           capacity_.setPinned(line, false);
-                           serializer_.releaseAt(
-                               line, std::max(eq_.now(), freeNoEarlier));
-                       });
+            bool fromNvm = false;
+            linkFill(core, line, t, &fromNvm);
+            replyAfterFill(core, line, t, fromNvm, fillRelease(t), primary,
+                           std::move(done));
             deferred = true;
         } else {
             // Forward from the current head; its invalidation folds
@@ -433,60 +245,44 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
                 exposedInDataPath = h;
             }
             const Cycle floor = std::max(hn.dataReadyAt, exposeReady);
-            const LineWords words = hn.words;
-            Node &nn = prependNode(core, line);
-            nn.words = words;
-            nn.dataReadyAt =
-                std::max(t + bus_.idealLatency(
-                                 bus_.bankNode(bankOf(line)),
-                                 bus_.coreNode(h), cfg_.ctrlMsgBytes),
-                         floor) +
-                bus_.idealLatency(bus_.coreNode(h), bus_.coreNode(core),
-                                  lineBytes + cfg_.ctrlMsgBytes);
-            insertResident(core, line, t);
-            bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(h),
-                      cfg_.ctrlMsgBytes, t,
-                      [this, line, floor, h, core, primary,
-                       done = std::move(done)]() mutable {
-                          const Cycle ready = std::max(eq_.now(), floor);
-                          const Cycle dataAt = bus_.send(
-                              bus_.coreNode(h), bus_.coreNode(core),
-                              lineBytes + cfg_.ctrlMsgBytes, ready,
-                              mshr_.completion(core, line, primary,
-                                               std::move(done)));
-                          if (Node *p = findNode(core, line))
-                              p->dataReadyAt =
-                                  std::max(p->dataReadyAt, dataAt);
-                      });
+            linkForward(core, h, line, floor, t);
+            forwardReply(h, core, line, t, floor, false, [](Cycle) {},
+                         primary, std::move(done));
         }
-        n = &node(core, line);
     }
     invalidateBelow(core, line, t, exposedInDataPath);
     n = &node(core, line);
     TSOPER_TRACE(Slc, t, "core " << core << " is the new head writer of "
                  "line 0x" << std::hex << line << std::dec);
     trace::instant(trace::Event::SlcNewHead, core, t, line);
-    n->words[wordOf(addr)] = store;
     n->dirty = true;
-    hooks_->onStoreCommitted(core, line, t);
-    logStore(core, addr, store);
+    commitStore(*n, core, addr, store, t);
     sampleListStats(line);
     if (deferred)
         return std::nullopt;
     return t + dirLatency_;
 }
 
-template <typename Finish>
-void
-SlcProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm, Finish finish)
+LineWords
+SlcProtocol::linkFill(CoreId core, LineAddr line, Cycle t, bool *fromNvm)
 {
-    llc_.accessAsync(line, t,
-                     [this, line, fromNvm,
-                      finish = std::move(finish)](Cycle at) mutable {
-                         if (fromNvm)
-                             at = nvm_.read(line, at);
-                         finish(at);
-                     });
+    const LineWords words = readMemory(line, t, fromNvm);
+    linkHead(core, line, words, 0, t);
+    capacity_.setPinned(line, true);
+    return words;
+}
+
+void
+SlcProtocol::linkForward(CoreId core, CoreId h, LineAddr line, Cycle floor,
+                         Cycle t)
+{
+    const Cycle readyAt =
+        std::max(t + mesh_.idealLatency(homeNode(line), coreNode(h),
+                                        cfg_.ctrlMsgBytes),
+                 floor) +
+        mesh_.idealLatency(coreNode(h), coreNode(core),
+                           lineBytes + cfg_.ctrlMsgBytes);
+    linkHead(core, line, node(h, line).words, readyAt, t);
 }
 
 // --------------------------------------------------------------------
@@ -494,7 +290,8 @@ SlcProtocol::fillTiming(LineAddr line, Cycle t, bool fromNvm, Finish finish)
 // --------------------------------------------------------------------
 
 SlcProtocol::Node &
-SlcProtocol::prependNode(CoreId core, LineAddr line)
+SlcProtocol::linkHead(CoreId core, LineAddr line, const LineWords &words,
+                      Cycle readyAt, Cycle t)
 {
     Entry &e = entries_[line];
     tsoper_assert(!findNode(core, line),
@@ -502,11 +299,14 @@ SlcProtocol::prependNode(CoreId core, LineAddr line)
     Node nn;
     nn.fwd = e.head;
     nn.bwd = invalidCore;
+    nn.words = words;
+    nn.dataReadyAt = readyAt;
     if (e.head != invalidCore)
         node(e.head, line).bwd = core;
     e.head = core;
     auto [n, ok] = nodes_[static_cast<unsigned>(core)].tryEmplace(line, nn);
     tsoper_assert(ok);
+    insertResident(core, line, t);
     return *n;
 }
 
@@ -532,8 +332,8 @@ SlcProtocol::invalidateBelow(CoreId newHead, LineAddr line, Cycle t,
             // Background invalidation: a real fire-and-forget message
             // (write permission was already granted at link-up, OBS 3,
             // so nothing waits on its arrival).
-            bus_.send(bus_.bankNode(bankOf(line)), bus_.coreNode(cur),
-                      cfg_.ctrlMsgBytes, t, [] {});
+            send(homeNode(line), coreNode(cur), cfg_.ctrlMsgBytes, t,
+                 [] {});
             if (v.dirty) {
                 if (cur != alreadyExposed)
                     hooks_->onDirtyExpose(cur, line, newHead, true, t);
@@ -583,15 +383,6 @@ SlcProtocol::unlinkNode(CoreId core, LineAddr line, Cycle t)
 }
 
 void
-SlcProtocol::insertResident(CoreId core, LineAddr line, Cycle t)
-{
-    auto result = arrays_[static_cast<unsigned>(core)].insert(line);
-    tsoper_assert(!result.noSpace, "private cache set fully pinned");
-    if (result.evicted)
-        handleVictim(core, result.victim, t);
-}
-
-void
 SlcProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
 {
     Node &v = node(core, victim);
@@ -600,11 +391,7 @@ SlcProtocol::handleVictim(CoreId core, LineAddr victim, Cycle t)
         if (hooks_->dropsInvalidDirty()) {
             // Baseline: write the version back if it is current.
             if (v.valid) {
-                llc_.install(victim, v.words, true, t);
-                coherenceWb_.inc();
-                bus_.arrival(bus_.coreNode(core),
-                            bus_.bankNode(bankOf(victim)),
-                            lineBytes + cfg_.ctrlMsgBytes, t);
+                writeBack(core, victim, v.words, t);
                 hooks_->onDirtyEvict(core, victim,
                                      ExposeReason::Eviction, t);
             }
@@ -651,8 +438,7 @@ SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
             continue;
         Node &v = *vp;
         v.valid = false;
-        bus_.arrival(bus_.bankNode(bankOf(victim)), bus_.coreNode(c),
-                    cfg_.ctrlMsgBytes, t);
+        mesh_.route(homeNode(victim), coreNode(c), cfg_.ctrlMsgBytes, t);
         if (v.dirty) {
             if (hooks_->dropsInvalidDirty()) {
                 llc_.install(victim, v.words, true, t);
@@ -683,24 +469,25 @@ SlcProtocol::maybeReleaseEntry(LineAddr line, Cycle t)
     if (wasZombie)
         capacity_.evictBufferLeave(line);
     entries_.erase(line);
-    if (auto *waiting = zombieWaiters_.find(line)) {
-        auto waiters = std::move(*waiting);
-        zombieWaiters_.erase(line);
-        for (auto &w : waiters)
-            eq_.scheduleIn(0, std::move(w));
-    }
+    wakeWaiters(zombieWaiters_, line);
 }
 
 void
 SlcProtocol::notifyNodeWaiters(CoreId core, LineAddr line)
 {
-    const std::uint64_t key = waiterKey(core, line);
-    auto *waiting = nodeWaiters_.find(key);
+    wakeWaiters(nodeWaiters_, waiterKey(core, line));
+}
+
+void
+SlcProtocol::wakeWaiters(LineMap<std::vector<InlineCallback>> &waiters,
+                         std::uint64_t key)
+{
+    auto *waiting = waiters.find(key);
     if (!waiting)
         return;
-    auto waiters = std::move(*waiting);
-    nodeWaiters_.erase(key);
-    for (auto &w : waiters)
+    auto parked = std::move(*waiting);
+    waiters.erase(key);
+    for (auto &w : parked)
         eq_.scheduleIn(0, std::move(w));
 }
 
@@ -731,33 +518,25 @@ SlcProtocol::nodeDirty(CoreId core, LineAddr line) const
 CoreId
 SlcProtocol::nodeFwd(CoreId core, LineAddr line) const
 {
-    const Node *n = findNode(core, line);
-    tsoper_assert(n, "nodeFwd on absent node");
-    return n->fwd;
+    return node(core, line).fwd;
 }
 
 CoreId
 SlcProtocol::nodeBwd(CoreId core, LineAddr line) const
 {
-    const Node *n = findNode(core, line);
-    tsoper_assert(n, "nodeBwd on absent node");
-    return n->bwd;
+    return node(core, line).bwd;
 }
 
 bool
 SlcProtocol::nodeIsTail(CoreId core, LineAddr line) const
 {
-    const Node *n = findNode(core, line);
-    tsoper_assert(n, "nodeIsTail on absent node");
-    return n->fwd == invalidCore;
+    return node(core, line).fwd == invalidCore;
 }
 
 bool
 SlcProtocol::nodeIsPersistTail(CoreId core, LineAddr line) const
 {
-    const Node *n = findNode(core, line);
-    tsoper_assert(n, "nodeIsPersistTail on absent node");
-    CoreId cur = n->fwd;
+    CoreId cur = node(core, line).fwd;
     while (cur != invalidCore) {
         const Node *below = findNode(cur, line);
         tsoper_assert(below, "broken sharing list at core ", cur);
@@ -789,9 +568,7 @@ SlcProtocol::notifyPersistTailUpward(CoreId fromCore, LineAddr line,
 const LineWords &
 SlcProtocol::nodeWords(CoreId core, LineAddr line) const
 {
-    const Node *n = findNode(core, line);
-    tsoper_assert(n, "nodeWords on absent node");
-    return n->words;
+    return node(core, line).words;
 }
 
 void
@@ -804,10 +581,7 @@ SlcProtocol::persistComplete(CoreId core, LineAddr line, Cycle now)
     tsoper_assert(n.dirty, "persistComplete of a clean version");
     // Parallel writeback: the LLC is updated with the persisted version
     // (§II-B — the LLC is constantly updated while the AGB enqueues).
-    llc_.install(line, n.words, true, now);
-    coherenceWb_.inc();
-    bus_.arrival(bus_.coreNode(core), bus_.bankNode(bankOf(line)),
-                lineBytes + cfg_.ctrlMsgBytes, now);
+    writeBack(core, line, n.words, now);
     TSOPER_TRACE(Slc, now, "core " << core << "'s version of line 0x"
                  << std::hex << line << std::dec
                  << " persisted (valid=" << n.valid << ")");
@@ -846,20 +620,17 @@ SlcProtocol::releaseCleanMember(CoreId core, LineAddr line, Cycle now)
 unsigned
 SlcProtocol::listLength(LineAddr line) const
 {
-    const Entry *e = entries_.find(line);
-    if (!e)
-        return 0;
-    unsigned len = 0;
-    CoreId cur = e->head;
-    while (cur != invalidCore) {
-        ++len;
-        cur = findNode(cur, line)->fwd;
-    }
-    return len;
+    return countNodes(line, false);
 }
 
 unsigned
 SlcProtocol::validListLength(LineAddr line) const
+{
+    return countNodes(line, true);
+}
+
+unsigned
+SlcProtocol::countNodes(LineAddr line, bool validOnly) const
 {
     const Entry *e = entries_.find(line);
     if (!e)
@@ -868,7 +639,7 @@ SlcProtocol::validListLength(LineAddr line) const
     CoreId cur = e->head;
     while (cur != invalidCore) {
         const Node *n = findNode(cur, line);
-        if (n->valid)
+        if (n->valid || !validOnly)
             ++len;
         cur = n->fwd;
     }

@@ -21,12 +21,12 @@
  *
  * Timing model: state commits at directory dispatch (see coherence/
  * protocol.hh), while the timing legs are real timestamped messages:
- * forward requests, data replies and permission grants travel as
- * MessageBus sends whose arrival events fire the requester's
- * completion; memory fills defer the line's serializer slot until the
- * LLC pipe answers (coherence/directory.hh).  Background traffic
- * (teardown notifications, persist writebacks) keeps folded arrival()
- * legs.
+ * forward requests, data replies and permission grants travel as mesh
+ * messages whose arrival events fire the requester's completion (the
+ * reply shapes of DirectoryController, coherence/directory.hh); memory
+ * fills defer the line's serializer slot until the LLC pipe answers.
+ * Background traffic (teardown notifications, persist writebacks) is
+ * routed without an event of its own (Mesh::route).
  */
 
 #ifndef TSOPER_COHERENCE_SLC_HH
@@ -35,13 +35,6 @@
 #include <vector>
 
 #include "coherence/directory.hh"
-#include "coherence/protocol.hh"
-#include "coherence/txn.hh"
-#include "mem/cache_array.hh"
-#include "mem/llc.hh"
-#include "mem/nvm.hh"
-#include "noc/mesh.hh"
-#include "noc/message_bus.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/line_map.hh"
@@ -50,15 +43,25 @@
 namespace tsoper
 {
 
-class SlcProtocol : public CoherenceProtocol
+/** One cache's node on a line's sharing list (SlcProtocol's per-core
+ *  line state). */
+struct SlcNode
+{
+    CoreId fwd = invalidCore;  ///< Toward the tail (older).
+    CoreId bwd = invalidCore;  ///< Toward the head (newer).
+    bool valid = true;
+    bool dirty = false;
+    bool evicted = false;      ///< Lives in the eviction buffer.
+    Cycle dataReadyAt = 0;     ///< When this copy's data arrives.
+    LineWords words{};
+};
+
+class SlcProtocol : public DirectoryController<SlcProtocol, SlcNode>
 {
   public:
     SlcProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
                 Llc &llc, Nvm &nvm, StatsRegistry &stats);
 
-    void load(CoreId core, Addr addr, LoadDone done) override;
-    void store(CoreId core, Addr addr, StoreId store,
-               StoreDone done) override;
     ProtocolComplexity complexity() const override;
 
     // --- Engine-facing API ------------------------------------------
@@ -115,16 +118,8 @@ class SlcProtocol : public CoherenceProtocol
     unsigned validListLength(LineAddr line) const;
 
   private:
-    struct Node
-    {
-        CoreId fwd = invalidCore;  ///< Toward the tail (older).
-        CoreId bwd = invalidCore;  ///< Toward the head (newer).
-        bool valid = true;
-        bool dirty = false;
-        bool evicted = false;      ///< Lives in the eviction buffer.
-        Cycle dataReadyAt = 0;     ///< When this copy's data arrives.
-        LineWords words{};
-    };
+    friend class DirectoryController<SlcProtocol, SlcNode>;
+    using Node = SlcNode;
 
     struct Entry
     {
@@ -132,30 +127,11 @@ class SlcProtocol : public CoherenceProtocol
         bool zombie = false; ///< Mid-teardown after a directory eviction.
     };
 
-    Node *findNode(CoreId core, LineAddr line);
-    const Node *findNode(CoreId core, LineAddr line) const;
-    Node &node(CoreId core, LineAddr line);
-
-    unsigned bankOf(LineAddr line) const
-    {
-        return static_cast<unsigned>(line) & (banks_ - 1);
-    }
-
-    /**
-     * load()/store() with the request's MSHR state: @p primary is true
-     * when this access holds (core, line)'s MSHR register (claimed by
-     * Mshr::admit), which the leg that completes it frees
-     * (Mshr::complete).  Retries of a parked access re-enter here with
-     * the flag they were parked with.
-     */
-    void issueLoad(CoreId core, Addr addr, LoadDone done, bool primary);
-    void issueStore(CoreId core, Addr addr, StoreId store, StoreDone done,
-                    bool primary);
-
-    /** Dispatch a miss/upgrade transaction (a LineSerializer::Body
-     *  callable) to the directory. */
-    template <typename Body>
-    void submitTxn(CoreId core, LineAddr line, Body body, Cycle departAt);
+    /** DirectoryController's hit tests: a load hits a valid node; a
+     *  store hits silently as the head and either already the exclusive
+     *  writer or the sole copy (E-like upgrade), and commits there. */
+    Node *loadHit(CoreId core, LineAddr line);
+    bool storeHit(CoreId core, Addr addr, StoreId store);
 
     /** Transaction bodies (run at directory dispatch).  nullopt means
      *  the body deferred: a memory fill holds the line until the LLC
@@ -166,16 +142,36 @@ class SlcProtocol : public CoherenceProtocol
                                   StoreDone done, bool primary, Cycle t);
 
     /**
-     * Timing tail of a decomposed memory fill, starting from the LLC
-     * pipe: async bank access, an NVM read behind it on an LLC miss,
-     * then the data leg to the requester.  Runs at the directory; the
-     * functional contents were resolved at dispatch.  @p finish (a
-     * void(Cycle) callable, stored in the bank access's completion)
-     * runs when the fill data is at the bank (the data leg's departure
-     * instant) with the departure cycle.
+     * Memory fill for @p core at @p t, when no valid cached copy
+     * exists: the LLC (or NVM) holds the current version (invalid heads
+     * imply their successors' versions already reached the LLC).  Links
+     * @p core at the head with the fill contents, which it returns, and
+     * pins the line's entry against teardown until the fill's reply
+     * (replyAfterFill, with *fromNvm) frees the line — so dataReadyAt
+     * is final before the next same-line dispatch.
      */
-    template <typename Finish>
-    void fillTiming(LineAddr line, Cycle t, bool fromNvm, Finish finish);
+    LineWords linkFill(CoreId core, LineAddr line, Cycle t, bool *fromNvm);
+
+    /** SLC's non-blocking fill release: the line frees once the fill
+     *  data is at the bank, no earlier than one directory slot after
+     *  dispatch at @p t. */
+    auto
+    fillRelease(Cycle t) const
+    {
+        return [freeNoEarlier = t + dirLatency_](Cycle now, Cycle) {
+            return std::max(now, freeNoEarlier);
+        };
+    }
+
+    /**
+     * Cache-to-cache forward from head @p h (nonblocking, OBS 3): link
+     * @p core above it with a copy of @p h 's version.  The new copy's
+     * dataReadyAt is the uncontended estimate of the forward and data
+     * legs, no earlier than @p floor, until the reply lands;
+     * subsequent same-line forwards read it as their data floor.
+     */
+    void linkForward(CoreId core, CoreId h, LineAddr line, Cycle floor,
+                     Cycle t);
 
     /**
      * Check a blocked transaction: the core's own node is invalid and
@@ -188,9 +184,6 @@ class SlcProtocol : public CoherenceProtocol
      */
     bool mustWaitForOwnNode(CoreId core, LineAddr line, Cycle t,
                             bool *relinked = nullptr);
-
-    /** Prepend @p core as the new head of @p line's list. */
-    Node &prependNode(CoreId core, LineAddr line);
 
     /**
      * Mark all valid nodes below @p newHead invalid (background inv).
@@ -211,8 +204,11 @@ class SlcProtocol : public CoherenceProtocol
      */
     void notifyPersistTailUpward(CoreId fromCore, LineAddr line, Cycle t);
 
-    /** Capacity insert into @p core's array; handles the victim. */
-    void insertResident(CoreId core, LineAddr line, Cycle t);
+    /** Link @p core as the new head of @p line's list with a copy of
+     *  @p words that is ready at @p readyAt, resident in its private
+     *  cache.  @return the node. */
+    Node &linkHead(CoreId core, LineAddr line, const LineWords &words,
+                   Cycle readyAt, Cycle t);
 
     void handleVictim(CoreId core, LineAddr victim, Cycle t);
 
@@ -223,29 +219,19 @@ class SlcProtocol : public CoherenceProtocol
 
     void notifyNodeWaiters(CoreId core, LineAddr line);
 
+    /** Reschedule (zero-delay) every retry parked in @p waiters under
+     *  @p key, and forget them. */
+    void wakeWaiters(LineMap<std::vector<InlineCallback>> &waiters,
+                     std::uint64_t key);
+
+    /** Nodes on @p line's list, or only the valid ones. */
+    unsigned countNodes(LineAddr line, bool validOnly) const;
+
     void sampleListStats(LineAddr line);
 
     void enterEvictBuffer(CoreId core);
     void leaveEvictBuffer(CoreId core);
 
-    // --- wiring -------------------------------------------------------
-    const SystemConfig &cfg_;
-    EventQueue &eq_;
-    /** All cross-tile traffic (requests, forwards, data replies,
-     *  writebacks) goes through the bus, so NoC timing and traffic
-     *  accounting live in one place (noc/message_bus.hh). */
-    MessageBus bus_;
-    Llc &llc_;
-    Nvm &nvm_;
-    StatsRegistry &stats_;
-    LineSerializer serializer_;
-    DirectoryCapacity capacity_;
-    Mshr mshr_;
-    unsigned banks_;
-    Cycle dirLatency_ = 6;
-
-    std::vector<LineMap<Node>> nodes_; ///< Per core.
-    std::vector<CacheArray> arrays_;   ///< Per core.
     LineMap<Entry> entries_;
     std::vector<unsigned> evictBufOcc_;
 
@@ -255,11 +241,6 @@ class SlcProtocol : public CoherenceProtocol
     /** Transactions blocked on a zombie entry teardown. */
     LineMap<std::vector<InlineCallback>> zombieWaiters_;
 
-    // --- stats ---------------------------------------------------------
-    Counter &hits_;
-    Counter &misses_;
-    Counter &upgrades_;
-    Counter &coherenceWb_;
     Histogram &persistListLen_;
     Histogram &coherenceListLen_;
     Histogram &evictBufHist_;

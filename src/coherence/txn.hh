@@ -1,9 +1,10 @@
 /**
  * @file
  * Multi-message transaction bookkeeping for the decomposed directory
- * protocols, whose requests travel as real MessageBus legs so that a
+ * protocols, whose requests travel as real mesh messages so that a
  * requester completes when the last reply actually arrives (see the
- * timing model in coherence/slc.hh):
+ * timing model in coherence/slc.hh and the reply shapes in
+ * coherence/directory.hh):
  *
  *  - TxnTable: home-side transaction entries.  A directory bank that
  *    decomposes a request into several message legs (invalidations

@@ -11,7 +11,7 @@ namespace tsoper
 
 Agb::Agb(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh, Nvm &nvm,
          Llc &llc, StatsRegistry &stats)
-    : cfg_(cfg), eq_(eq), bus_(eq, mesh), nvm_(nvm), llc_(llc),
+    : cfg_(cfg), eq_(eq), mesh_(mesh), nvm_(nvm), llc_(llc),
       distributed_(cfg.agbDistributed), unbounded_(cfg.agbUnbounded),
       slices_(cfg.agbDistributed ? cfg.nvmRanks : 1),
       sliceCapacity_(cfg.agbDistributed
@@ -63,11 +63,12 @@ Agb::requestAllocation(CoreId from, std::vector<LineAddr> lines,
     }
     // Two-phase ingress: the request travels to the arbiter; grants are
     // issued in FIFO order as space allows.
-    bus_.send(bus_.coreNode(from), arbiterNode_, cfg_.ctrlMsgBytes,
-              [this, h] {
-                  allocQueue_.push_back(h);
-                  tryGrant();
-              });
+    const Cycle requestAt = mesh_.route(mesh_.coreNode(from), arbiterNode_,
+                                        cfg_.ctrlMsgBytes, eq_.now());
+    eq_.schedule(requestAt, [this, h] {
+        allocQueue_.push_back(h);
+        tryGrant();
+    });
     return h;
 }
 
@@ -106,8 +107,9 @@ Agb::grant(AgRec &ag)
     fifo_.push_back(ag.handle);
     // Broadcast the grant back to the requesting L1.
     const AgHandle h = ag.handle;
-    bus_.send(arbiterNode_, bus_.coreNode(ag.from), cfg_.ctrlMsgBytes,
-              [this, h, cb = std::move(ag.grantedCb)]() mutable {
+    const Cycle grantAt = mesh_.route(arbiterNode_, mesh_.coreNode(ag.from),
+                                      cfg_.ctrlMsgBytes, eq_.now());
+    eq_.schedule(grantAt, [this, h, cb = std::move(ag.grantedCb)]() mutable {
         if (cb)
             cb(eq_.now());
         // Empty AGs (all-clean groups) complete immediately.
@@ -134,8 +136,8 @@ Agb::bufferLine(AgHandle h, LineAddr line, const LineWords &words,
     const unsigned s = sliceOf(line);
     // NoC leg to the slice, then the SRAM port serializes writes.
     const int sliceNode =
-        distributed_ ? bus_.mcNode(nvm_.rankOf(line)) : arbiterNode_;
-    const Cycle arrive = bus_.arrival(bus_.coreNode(ag.from), sliceNode,
+        distributed_ ? mesh_.mcNode(nvm_.rankOf(line)) : arbiterNode_;
+    const Cycle arrive = mesh_.route(mesh_.coreNode(ag.from), sliceNode,
                                      lineBytes + cfg_.ctrlMsgBytes,
                                      eq_.now());
     const Cycle start = std::max(arrive, slicePortBusy_[s]);

@@ -36,7 +36,6 @@
 #include "mem/llc.hh"
 #include "mem/nvm.hh"
 #include "noc/mesh.hh"
-#include "noc/message_bus.hh"
 #include "sim/callback.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -131,8 +130,7 @@ class Agb
 
     const SystemConfig &cfg_;
     EventQueue &eq_;
-    /** Explicit cross-tile message path (noc/message_bus.hh). */
-    MessageBus bus_;
+    Mesh &mesh_;
     Nvm &nvm_;
     Llc &llc_;
     bool distributed_;

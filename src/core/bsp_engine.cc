@@ -13,7 +13,7 @@ BspEngine::BspEngine(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
                      Llc &llc, Nvm &nvm, MesiProtocol *mesi,
                      SlcProtocol *slc, Agb *agb, StatsRegistry &stats,
                      Mode mode)
-    : cfg_(cfg), eq_(eq), bus_(eq, mesh), llc_(llc), nvm_(nvm), mesi_(mesi),
+    : cfg_(cfg), eq_(eq), mesh_(mesh), llc_(llc), nvm_(nvm), mesi_(mesi),
       slc_(slc), agb_(agb), mode_(mode), banks_(cfg.llcBanks),
       epochs_(cfg.numCores), latest_(cfg.numCores),
       carriedDeps_(cfg.numCores), storeWaiters_(cfg.numCores),
@@ -210,9 +210,9 @@ BspEngine::flushLineToLlc(Epoch &e, LineAddr line, Cycle earliest)
     if (e.flushAt.count(line))
         return; // Already written back (eviction path).
     const Cycle flushDone =
-        ready + bus_.idealLatency(
-                    bus_.coreNode(e.core),
-                    bus_.bankNode(static_cast<unsigned>(line) &
+        ready + mesh_.idealLatency(
+                    mesh_.coreNode(e.core),
+                    mesh_.bankNode(static_cast<unsigned>(line) &
                                    (banks_ - 1)),
                     lineBytes + cfg_.ctrlMsgBytes);
     e.flushAt[line] = flushDone;

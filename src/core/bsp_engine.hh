@@ -36,7 +36,6 @@
 #include "mem/llc.hh"
 #include "mem/nvm.hh"
 #include "noc/mesh.hh"
-#include "noc/message_bus.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -115,8 +114,7 @@ class BspEngine : public PersistEngine
 
     const SystemConfig &cfg_;
     EventQueue &eq_;
-    /** Explicit cross-tile message path (noc/message_bus.hh). */
-    MessageBus bus_;
+    Mesh &mesh_;
     Llc &llc_;
     Nvm &nvm_;
     MesiProtocol *mesi_;

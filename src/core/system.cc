@@ -25,10 +25,6 @@ System::System(const SystemConfig &cfg, const Workload &workload)
       llc_(cfg_, nvm_, stats_), sync_(cfg_.numCores, eq_)
 {
     cfg_.validate();
-    if (!cfg_.traceCategories.empty())
-        trace::setCategories(cfg_.traceCategories);
-    if (cfg_.flightRecorderDepth > 0)
-        trace::enableFlightRecorder(cfg_.flightRecorderDepth);
     tsoper_assert(workload.perCore.size() == cfg_.numCores,
                   "workload core count (", workload.perCore.size(),
                   ") != configured cores (", cfg_.numCores, ")");

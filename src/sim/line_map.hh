@@ -16,8 +16,9 @@
  *
  * Values therefore live in stable slots: a reference to one value
  * survives inserts and erases of *other* keys, including index growth
- * (the protocols rely on this, e.g. `Node &hn = node(h, line); ...
- * prependNode(core, line)`).  Steady-state inserts and erases do not
+ * (the protocols rely on this, e.g. SLC's upgrade keeps `Node *n`
+ * across `insertResident(core, line, t)`, whose victim may unlink
+ * another of the core's nodes).  Steady-state inserts and erases do not
  * touch the allocator; memory grows to the peak population and stays.
  *
  * LineMap is lookup-only: it offers no iteration.  Maps whose

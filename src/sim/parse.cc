@@ -6,18 +6,35 @@
 namespace tsoper
 {
 
-bool
-parseUint(const std::string &s, std::uint64_t *out, std::uint64_t max)
+namespace
 {
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
+
+bool
+parseDigits(const std::string &s, const char *digits, int base,
+            std::uint64_t *out, std::uint64_t max)
+{
+    if (s.empty() || s.find_first_not_of(digits) != std::string::npos)
         return false;
     errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+    const unsigned long long v = std::strtoull(s.c_str(), nullptr, base);
     if (errno == ERANGE || v > max)
         return false;
     *out = v;
     return true;
+}
+
+} // namespace
+
+bool
+parseUint(const std::string &s, std::uint64_t *out, std::uint64_t max)
+{
+    return parseDigits(s, "0123456789", 10, out, max);
+}
+
+bool
+parseHex(const std::string &s, std::uint64_t *out)
+{
+    return parseDigits(s, "0123456789abcdefABCDEF", 16, out, UINT64_MAX);
 }
 
 bool

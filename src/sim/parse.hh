@@ -1,7 +1,7 @@
 /**
  * @file
- * Strict number parsing for every text input: spec files, trace-file
- * headers and the numeric flags of the command-line tools.  Both
+ * Strict number parsing for every text input: spec files, trace files
+ * and the numeric flags of the command-line tools.  Both
  * parsers fail closed — the whole string must be the number — so
  * "8x", "-1", " 3", "0x10" and "inf" are errors, not 8, a wrapped
  * value, 3, 0 or infinity.
@@ -24,6 +24,10 @@ namespace tsoper
  */
 bool parseUint(const std::string &s, std::uint64_t *out,
                std::uint64_t max = UINT64_MAX);
+
+/** parseUint for hexadecimal digits (either case, no "0x" prefix): the
+ *  form trace files write addresses in. */
+bool parseHex(const std::string &s, std::uint64_t *out);
 
 /**
  * Strict finite decimal ("0.5", ".25", "1e-3"): rejects a sign,

@@ -74,6 +74,18 @@ loadWorkload(std::istream &is)
         std::istringstream ls(line);
         std::string tok;
         ls >> tok;
+        // A directive's one operand, parsed whole (decimal, or hex for
+        // addresses): nothing may be missing, trail it, or follow it.
+        const auto operand = [&](bool hex, std::uint64_t max) {
+            std::string text, extra;
+            std::uint64_t value = 0;
+            if (!(ls >> text) || (ls >> extra) ||
+                !(hex ? parseHex(text, &value)
+                      : parseUint(text, &value, max)))
+                tsoper_fatal("trace line ", lineNo,
+                             ": malformed operand in '", line, "'");
+            return value;
+        };
         if (tok == "workload") {
             std::string name;
             ls >> name;
@@ -110,8 +122,7 @@ loadWorkload(std::istream &is)
             if (!haveHeader)
                 tsoper_fatal("trace line ", lineNo,
                              ": 'core' before 'workload' header");
-            std::size_t idx = 0;
-            ls >> idx;
+            const std::uint64_t idx = operand(false, UINT64_MAX);
             if (idx >= w.perCore.size())
                 tsoper_fatal("trace line ", lineNo,
                              ": core index ", idx, " out of range");
@@ -121,29 +132,32 @@ loadWorkload(std::istream &is)
                 tsoper_fatal("trace line ", lineNo,
                              ": op before any 'core' directive");
             TraceOp op{};
+            const auto arg = [&] {
+                return static_cast<std::uint32_t>(operand(false, UINT32_MAX));
+            };
             if (tok == "L" || tok == "S") {
                 op.type = tok == "L" ? OpType::Load : OpType::Store;
-                ls >> std::hex >> op.addr >> std::dec;
+                op.addr = operand(true, UINT64_MAX);
             } else if (tok == "C") {
                 op.type = OpType::Compute;
-                ls >> op.arg;
+                op.arg = arg();
             } else if (tok == "A" || tok == "R") {
                 op.type = tok == "A" ? OpType::LockAcq : OpType::LockRel;
-                ls >> op.arg;
+                op.arg = arg();
                 op.addr = layout::lockAddr(op.arg);
             } else if (tok == "B") {
                 op.type = OpType::Barrier;
-                ls >> op.arg;
+                op.arg = arg();
                 op.addr = layout::barrierAddr(op.arg);
             } else if (tok == "M") {
                 op.type = OpType::Marker;
+                if (std::string extra; ls >> extra)
+                    tsoper_fatal("trace line ", lineNo,
+                                 ": malformed operand in '", line, "'");
             } else {
                 tsoper_fatal("trace line ", lineNo,
                              ": unknown directive '", tok, "'");
             }
-            if (ls.fail())
-                tsoper_fatal("trace line ", lineNo,
-                             ": malformed operand in '", line, "'");
             current->push_back(op);
         }
     }

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <iterator>
 #include <string>
 
@@ -185,16 +186,24 @@ const PinnedDigest kPinnedDigests[] = {
     {"tsoper", "ocean_cp", 0x6464e9fadb46415bull},
 };
 
-} // namespace
-
-TEST(ShapeRegression, StatsJsonMatchesPinnedDigests)
+/**
+ * Run every engine name on each of @p benches (seed 3, scale 0.3, the
+ * tsoper_sim configuration), with @p shrink (a void(SystemConfig &,
+ * const std::string &bench) callable) applied to the resolved config,
+ * and compare each run's stats digest against @p table.  @p inspect
+ * (void(engine, bench, const StatsRegistry &)) sees every run's stats.
+ * On a mismatch the failure message carries the regenerated table.
+ */
+template <typename Shrink, typename Inspect>
+void
+checkPinnedDigests(std::initializer_list<const char *> benches,
+                   const PinnedDigest *table, std::size_t tableSize,
+                   Shrink shrink, Inspect inspect)
 {
-    // Unlike StatsJsonByteIdenticalForFixedSeed, which compares two
-    // runs of the same binary, this pins the bytes across commits.
     std::string regenerated;
     bool allMatch = true;
     std::size_t checked = 0;
-    for (const char *bench : {"radix", "ocean_cp"}) {
+    for (const char *bench : benches) {
         for (const std::string &engine : engineNames()) {
             campaign::RunRequest req;
             req.engine = engine;
@@ -203,10 +212,12 @@ TEST(ShapeRegression, StatsJsonMatchesPinnedDigests)
             req.scale = 0.3;
             SystemConfig cfg;
             ASSERT_TRUE(campaign::resolveConfig(req, &cfg, nullptr));
+            shrink(cfg, req.bench);
             const Workload w = generateByName(req.bench, cfg.numCores,
                                               req.seed, req.scale);
             System sys(cfg, w);
             sys.run();
+            inspect(engine, req.bench, sys.stats());
             const std::uint64_t got = fnv1a(statsJsonText(sys.stats()));
             char line[128];
             std::snprintf(line, sizeof line,
@@ -214,9 +225,10 @@ TEST(ShapeRegression, StatsJsonMatchesPinnedDigests)
                           engine.c_str(), bench, got);
             regenerated += line;
             const PinnedDigest *pinned = nullptr;
-            for (const PinnedDigest &p : kPinnedDigests) {
-                if (engine == p.engine && std::string(bench) == p.bench)
-                    pinned = &p;
+            for (std::size_t i = 0; i < tableSize; ++i) {
+                if (engine == table[i].engine &&
+                    std::string(bench) == table[i].bench)
+                    pinned = &table[i];
             }
             if (!pinned) {
                 allMatch = false;
@@ -232,9 +244,87 @@ TEST(ShapeRegression, StatsJsonMatchesPinnedDigests)
             }
         }
     }
-    EXPECT_EQ(checked, std::size(kPinnedDigests));
-    EXPECT_TRUE(allMatch) << "regenerated kPinnedDigests:\n"
+    EXPECT_EQ(checked, tableSize);
+    EXPECT_TRUE(allMatch) << "regenerated digest table:\n"
                           << regenerated;
+}
+
+/**
+ * The same pin at a shrunken geometry that drives protocol paths the
+ * default-geometry table above misses (none of its runs stalls on a
+ * full MSHR; radix there has no upgrades and no eviction-buffer use):
+ * a 1-register MSHR (full-stall retries), 64 directory entries per
+ * bank (directory evictions and entry teardown), and tiny private
+ * caches (16 sets on canneal, 4 on radix: capacity victims, upgrades
+ * and SLC eviction-buffer residency).
+ */
+const PinnedDigest kSmallGeometryDigests[] = {
+    {"baseline", "canneal", 0xfd26f25b9b076bbeull},
+    {"baseline-mesi", "canneal", 0x3d91d6de60193cf4ull},
+    {"hwrp", "canneal", 0x9863da284bfdc230ull},
+    {"bsp", "canneal", 0x0bbce198080a9b55ull},
+    {"bsp-slc", "canneal", 0xfffedcdaf88605eaull},
+    {"bsp-slc-agb", "canneal", 0x24c5646945bbe864ull},
+    {"stw", "canneal", 0x2a8feb5401f2bba4ull},
+    {"tsoper", "canneal", 0x9b7c765ed25025a5ull},
+    {"baseline", "radix", 0x7ef6dd9bca78aff2ull},
+    {"baseline-mesi", "radix", 0xf202576acf5f3b8dull},
+    {"hwrp", "radix", 0x578a3316901b50c1ull},
+    {"bsp", "radix", 0xf2da9454fc51c56bull},
+    {"bsp-slc", "radix", 0x6099fa4e4438940dull},
+    {"bsp-slc-agb", "radix", 0x1877511ea92c6607ull},
+    {"stw", "radix", 0xda117cef4bc06d21ull},
+    {"tsoper", "radix", 0xda566970e08eb874ull},
+};
+
+void
+shrinkGeometry(SystemConfig &cfg, const std::string &bench)
+{
+    cfg.privSets = bench == "canneal" ? 16 : 4;
+    cfg.mshrEntries = 1;
+    cfg.dirEntriesPerBank = 64;
+}
+
+} // namespace
+
+TEST(ShapeRegression, StatsJsonMatchesPinnedDigests)
+{
+    // Unlike StatsJsonByteIdenticalForFixedSeed, which compares two
+    // runs of the same binary, this pins the bytes across commits.
+    checkPinnedDigests(
+        {"radix", "ocean_cp"}, kPinnedDigests, std::size(kPinnedDigests),
+        [](SystemConfig &, const std::string &) {},
+        [](const std::string &, const std::string &,
+           const StatsRegistry &) {});
+}
+
+TEST(ShapeRegression, SmallGeometryStatsJsonMatchesPinnedDigests)
+{
+    // The pins only cover the rare paths if the runs reach them: every
+    // engine must stall on a full MSHR, evict directory entries and
+    // upgrade on canneal, and the SLC engines that keep evicted dirty
+    // versions linked (stw, tsoper) must use the eviction buffer on
+    // radix.
+    checkPinnedDigests(
+        {"canneal", "radix"}, kSmallGeometryDigests,
+        std::size(kSmallGeometryDigests), shrinkGeometry,
+        [](const std::string &engine, const std::string &bench,
+           const StatsRegistry &stats) {
+            if (bench == "canneal") {
+                EXPECT_GT(stats.get("mshr.full_stalls"), 0u) << engine;
+                EXPECT_GT(stats.get("dir.evictions"), 0u) << engine;
+                EXPECT_GT(stats.get("slc.upgrades") +
+                              stats.get("mesi.upgrades"),
+                          0u)
+                    << engine;
+            }
+            if (bench == "radix" && (engine == "stw" || engine == "tsoper")) {
+                const auto h =
+                    stats.histograms().find("slc.evict_buffer_occupancy");
+                ASSERT_NE(h, stats.histograms().end()) << engine;
+                EXPECT_GT(h->second.samples(), 0u) << engine;
+            }
+        });
 }
 
 class CoreCountMatrix : public ::testing::TestWithParam<unsigned>

@@ -120,6 +120,17 @@ TEST(TraceIo, RejectsMalformedInput)
         std::stringstream ss(header);
         EXPECT_THROW(loadWorkload(ss), std::runtime_error) << header;
     }
+    // Body operands parse whole too (hex for addresses): trailing
+    // characters, a missing operand (a bare 'core' is not core 0), a
+    // second operand, a sign, an operand wider than its field, and an
+    // operand on the operand-less marker.
+    for (const char *body :
+         {"core 0x\n", "core\n", "core 0\nC 5zz\n", "core 0\nS 40q\n",
+          "core 0\nL\n", "core 0\nL 40 44\n", "core 0\nA -1\n",
+          "core 0\nB 4294967296\n", "core 0\nR 0x1\n", "core 0\nM 1\n"}) {
+        std::stringstream ss(std::string("workload x cores=2\n") + body);
+        EXPECT_THROW(loadWorkload(ss), std::runtime_error) << body;
+    }
 }
 
 TEST(TraceIo, FileRoundTrip)
