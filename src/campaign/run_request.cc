@@ -261,6 +261,48 @@ resolveConfig(const RunRequest &r, SystemConfig *cfg, std::string *err)
     return true;
 }
 
+TimingMemo::Timing
+TimingMemo::get(const RunRequest &r,
+                const std::function<Timing()> &simulate)
+{
+    RunRequest keyed = r;
+    keyed.id.clear();
+    keyed.crashAt = 0.0;
+    keyed.traceCategories.clear();
+    keyed.traceOut.clear();
+    keyed.auditPersists = false;
+    keyed.auditFault.clear();
+    keyed.flightRecorder = 0;
+    const std::string key = keyed.toJson().dump();
+
+    std::promise<Timing> claim;
+    std::shared_future<Timing> result;
+    bool claimed = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto [it, inserted] = runs_.try_emplace(key);
+        if (inserted)
+            it->second = claim.get_future().share();
+        result = it->second;
+        claimed = inserted;
+    }
+    if (claimed) {
+        try {
+            claim.set_value(simulate());
+        } catch (...) {
+            claim.set_exception(std::current_exception());
+        }
+    }
+    return result.get();
+}
+
+std::size_t
+TimingMemo::simulated() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return runs_.size();
+}
+
 namespace
 {
 
@@ -282,7 +324,7 @@ fillAudit(RunResult *res, const RecoveryReport &report)
 } // namespace
 
 RunResult
-runOne(const RunRequest &r, const RunHooks &hooks)
+runOne(const RunRequest &r, const RunHooks &hooks, TimingMemo *timing)
 {
     RunResult res;
     SystemConfig cfg;
@@ -371,13 +413,23 @@ runOne(const RunRequest &r, const RunHooks &hooks)
         if (r.crashAt > 0.0) {
             Cycle crashCycle = static_cast<Cycle>(r.crashAt);
             if (r.crashAt <= 1.0) {
-                System timing(cfg, w);
-                const Cycle full = timing.run(r.maxCycles);
+                const auto simulate = [&] {
+                    // No store log: it serves only the crash run's
+                    // checker.
+                    SystemConfig fullCfg = cfg;
+                    fullCfg.recordStores = false;
+                    System full(fullCfg, w);
+                    TimingMemo::Timing tm;
+                    tm.cycles = full.run(r.maxCycles);
+                    tm.drainCycles = full.stats().get("sys.drain_cycles");
+                    return tm;
+                };
+                const TimingMemo::Timing tm =
+                    timing ? timing->get(r, simulate) : simulate();
                 crashCycle = static_cast<Cycle>(
-                    static_cast<double>(full) * r.crashAt);
-                res.cycles = full;
-                res.drainCycles =
-                    timing.stats().get("sys.drain_cycles");
+                    static_cast<double>(tm.cycles) * r.crashAt);
+                res.cycles = tm.cycles;
+                res.drainCycles = tm.drainCycles;
             }
             startTrace();
             System sys(cfg, w);

@@ -16,6 +16,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -158,6 +161,40 @@ struct RunHooks
 };
 
 /**
+ * The full runs that fractional crash cells take their crash cycle
+ * from, shared by the cells of one campaign.  Cells whose requests
+ * differ only in id, crash fraction, tracing or persist audit are
+ * deterministic copies of one full run, so the first cell of such a
+ * key simulates it and the others wait on its result.  A throw
+ * (HungError, a simulator panic) is shared the same way, so each cell
+ * of the group gets the verdict and detail it would get alone.
+ * Thread-safe.
+ */
+class TimingMemo
+{
+  public:
+    struct Timing
+    {
+        Cycle cycles = 0;      ///< Finish cycle of the full run.
+        Cycle drainCycles = 0; ///< Its sys.drain_cycles.
+    };
+
+    /** The timing of @p r 's key: computed by @p simulate on the
+     *  calling thread if no cell has claimed the key yet, else the
+     *  claimant's result, waited for.  Rethrows what the claimant's
+     *  @p simulate threw. */
+    Timing get(const RunRequest &r,
+               const std::function<Timing()> &simulate);
+
+    /** Full runs simulated so far: one per distinct key. */
+    std::size_t simulated() const;
+
+  private:
+    mutable std::mutex mutex_;
+    std::map<std::string, std::shared_future<Timing>> runs_;
+};
+
+/**
  * Resolve @p r into a validated SystemConfig.  Returns false (with a
  * message in @p err) for unknown engine names; benchmark resolution
  * happens in runOne since trace-driven requests have no profile.
@@ -168,9 +205,12 @@ bool resolveConfig(const RunRequest &r, SystemConfig *cfg,
 /**
  * Execute @p r to completion and classify the outcome.  Never throws:
  * simulator panics and I/O failures come back as RunStatus::Crashed /
- * BadRequest with the message in RunResult::detail.
+ * BadRequest with the message in RunResult::detail.  A fractional
+ * crash request takes its full-run timing from @p timing when given
+ * (see TimingMemo), else simulates it itself.
  */
-RunResult runOne(const RunRequest &r, const RunHooks &hooks = {});
+RunResult runOne(const RunRequest &r, const RunHooks &hooks = {},
+                 TimingMemo *timing = nullptr);
 
 } // namespace campaign
 } // namespace tsoper

@@ -95,22 +95,15 @@ retryable(RunStatus status)
     return status == RunStatus::Timeout || status == RunStatus::Crashed;
 }
 
-} // namespace
+using CellFn = std::function<RunResult(const RunRequest &)>;
 
-unsigned
-liveOrphanCount()
-{
-    return liveOrphans.load(std::memory_order_relaxed);
-}
-
+/** runCell with @p fn as the in-process executor. */
 CellReport
-runCell(const RunRequest &request, const RunnerOptions &opt)
+runCellWith(const RunRequest &request, const RunnerOptions &opt,
+            const CellFn &fn)
 {
     const bool isolate =
         opt.isolation == Isolation::Subprocess && !opt.cellFn;
-    const std::function<RunResult(const RunRequest &)> fn =
-        opt.cellFn ? opt.cellFn
-                   : [](const RunRequest &r) { return runOne(r); };
 
     CellReport cell;
     cell.request = request;
@@ -147,6 +140,24 @@ runCell(const RunRequest &request, const RunnerOptions &opt)
             return cell;
         }
     }
+}
+
+} // namespace
+
+unsigned
+liveOrphanCount()
+{
+    return liveOrphans.load(std::memory_order_relaxed);
+}
+
+CellReport
+runCell(const RunRequest &request, const RunnerOptions &opt)
+{
+    return runCellWith(request, opt,
+                       opt.cellFn ? opt.cellFn
+                                  : [](const RunRequest &r) {
+                                        return runOne(r);
+                                    });
 }
 
 CampaignReport
@@ -211,12 +222,27 @@ runCampaign(const std::string &name,
         pending.push_back(i);
     }
 
+    // In-process crash cells share one full timing run per key.  The
+    // memo is owned by every copy of fn, so an attempt thread orphaned
+    // by a timeout keeps it alive past this function.
+    const auto timing = std::make_shared<TimingMemo>();
+    const CellFn fn = opt.cellFn ? opt.cellFn
+                                 : [timing](const RunRequest &r) {
+                                       return runOne(r, {}, timing.get());
+                                   };
+    // Crash fraction outermost, so the cells that share a timing run
+    // are claimed apart rather than waiting on each other.
+    std::stable_sort(pending.begin(), pending.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cells[a].crashAt < cells[b].crashAt;
+                     });
+
     std::atomic<std::size_t> claimed{0};
     const auto claimCells = [&] {
         for (std::size_t k = claimed++; k < pending.size(); k = claimed++) {
             // Last-first: forward order raised crash-sweep peak RSS 13%.
             const std::size_t i = pending[pending.size() - 1 - k];
-            CellReport cell = runCell(cells[i], opt);
+            CellReport cell = runCellWith(cells[i], opt, fn);
             if (opt.journal)
                 opt.journal->append(cell);
             progressLine(cell, ++done);

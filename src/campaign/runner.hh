@@ -114,7 +114,10 @@ CellReport runCell(const RunRequest &request, const RunnerOptions &opt);
 
 /**
  * Execute @p cells in parallel and aggregate.  Cell order in the
- * report matches @p cells regardless of completion order.
+ * report matches @p cells regardless of completion order.  In-process
+ * crash cells that differ only in crash fraction share one timing run
+ * (TimingMemo); cells are claimed in descending crash fraction so the
+ * cells of one timing run do not start together.
  */
 CampaignReport runCampaign(const std::string &name,
                            const std::vector<RunRequest> &cells,

@@ -227,7 +227,7 @@ MesiProtocol::takeExclusive(LineAddr line, CoreId core, Cycle t,
         if ((e.sharers & bit(c)) && c != core)
             ++numInv;
     const TxnTable::Id id = txns_.begin(
-        line, core, numInv + 1,
+        numInv + 1,
         [this, line, core, primary,
          done = std::move(done)](Cycle readyAt) mutable {
             if (Node *n = findNode(core, line))

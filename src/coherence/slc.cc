@@ -18,6 +18,7 @@ SlcProtocol::SlcProtocol(const SystemConfig &cfg, EventQueue &eq, Mesh &mesh,
       coherenceListLen_(stats.histogram("slc.coherence_list_len")),
       evictBufHist_(stats.histogram("slc.evict_buffer_occupancy"))
 {
+    teardownOrder_.reserve(cfg.numCores); // one node a core per list
 }
 
 // --------------------------------------------------------------------
@@ -202,15 +203,14 @@ SlcProtocol::storeTxn(CoreId core, Addr addr, StoreId store, StoreDone done,
             // Re-link as the new head above the current readers.  Our
             // copy is current (a newer writer would have invalidated
             // us), so only pointers move.
-            Node moved = *n;
-            const bool wasTail = (n->fwd == invalidCore);
+            const CoreId fwd = n->fwd;
+            const CoreId bwd = n->bwd; // a reader above us
             // Splice out of the old position.
-            if (moved.bwd != invalidCore)
-                node(moved.bwd, line).fwd = moved.fwd;
-            if (moved.fwd != invalidCore)
-                node(moved.fwd, line).bwd = moved.bwd;
-            if (wasTail && moved.bwd != invalidCore)
-                hooks_->onBecameTail(moved.bwd, line, t);
+            node(bwd, line).fwd = fwd;
+            if (fwd != invalidCore)
+                node(fwd, line).bwd = bwd;
+            else
+                hooks_->onBecameTail(bwd, line, t);
             // Prepend at the head.
             Entry &e = entries_[line];
             const CoreId h = e.head;
@@ -304,6 +304,8 @@ SlcProtocol::linkHead(CoreId core, LineAddr line, const LineWords &words,
     if (e.head != invalidCore)
         node(e.head, line).bwd = core;
     e.head = core;
+    ++e.nodes;
+    ++e.validNodes;
     auto [n, ok] = nodes_[static_cast<unsigned>(core)].tryEmplace(line, nn);
     tsoper_assert(ok);
     insertResident(core, line, t);
@@ -314,6 +316,7 @@ void
 SlcProtocol::invalidateBelow(CoreId newHead, LineAddr line, Cycle t,
                              CoreId alreadyExposed)
 {
+    Entry &e = entries_[line];
     CoreId cur = node(newHead, line).fwd;
     while (cur != invalidCore) {
         Node *vp = findNode(cur, line);
@@ -323,6 +326,7 @@ SlcProtocol::invalidateBelow(CoreId newHead, LineAddr line, Cycle t,
         const CoreId next = v.fwd;
         if (v.valid) {
             v.valid = false;
+            --e.validNodes;
             TSOPER_TRACE(Slc, t, "core " << cur << "'s copy of line 0x"
                          << std::hex << line << std::dec
                          << " invalidated non-destructively (dirty="
@@ -332,8 +336,7 @@ SlcProtocol::invalidateBelow(CoreId newHead, LineAddr line, Cycle t,
             // Background invalidation: a real fire-and-forget message
             // (write permission was already granted at link-up, OBS 3,
             // so nothing waits on its arrival).
-            send(homeNode(line), coreNode(cur), cfg_.ctrlMsgBytes, t,
-                 [] {});
+            mesh_.route(homeNode(line), coreNode(cur), cfg_.ctrlMsgBytes, t);
             if (v.dirty) {
                 if (cur != alreadyExposed)
                     hooks_->onDirtyExpose(cur, line, newHead, true, t);
@@ -360,6 +363,9 @@ SlcProtocol::unlinkNode(CoreId core, LineAddr line, Cycle t)
         node(fwd, line).bwd = bwd;
     if (e.head == core)
         e.head = fwd;
+    --e.nodes;
+    if (n.valid)
+        --e.validNodes;
     const bool wasTail = (fwd == invalidCore);
     if (!n.evicted)
         arrays_[static_cast<unsigned>(core)].erase(line);
@@ -425,19 +431,21 @@ SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
     trace::instant(trace::Event::SlcDirEvict, invalidCore, t, victim);
     capacity_.evictBufferEnter(victim);
     // Invalidate every valid node; dirty versions freeze their AGs and
-    // persist from the side buffer (§III-B).
-    CoreId cur = e.head;
-    std::vector<CoreId> order;
-    while (cur != invalidCore) {
+    // persist from the side buffer (§III-B).  The hooks may unlink
+    // nodes, so walk a snapshot of the list (in a buffer kept across
+    // calls, taken so that a nested teardown would get its own).
+    std::vector<CoreId> order = std::move(teardownOrder_);
+    order.clear();
+    for (CoreId cur = e.head; cur != invalidCore;
+         cur = node(cur, victim).fwd)
         order.push_back(cur);
-        cur = node(cur, victim).fwd;
-    }
     for (CoreId c : order) {
         Node *vp = findNode(c, victim);
         if (!vp || !vp->valid)
             continue;
         Node &v = *vp;
         v.valid = false;
+        --e.validNodes;
         mesh_.route(homeNode(victim), coreNode(c), cfg_.ctrlMsgBytes, t);
         if (v.dirty) {
             if (hooks_->dropsInvalidDirty()) {
@@ -454,6 +462,7 @@ SlcProtocol::teardownEntry(LineAddr victim, Cycle t)
             unlinkNode(c, victim, t);
         }
     }
+    teardownOrder_ = std::move(order);
     maybeReleaseEntry(victim, t);
 }
 
@@ -620,30 +629,15 @@ SlcProtocol::releaseCleanMember(CoreId core, LineAddr line, Cycle now)
 unsigned
 SlcProtocol::listLength(LineAddr line) const
 {
-    return countNodes(line, false);
+    const Entry *e = entries_.find(line);
+    return e ? e->nodes : 0;
 }
 
 unsigned
 SlcProtocol::validListLength(LineAddr line) const
 {
-    return countNodes(line, true);
-}
-
-unsigned
-SlcProtocol::countNodes(LineAddr line, bool validOnly) const
-{
     const Entry *e = entries_.find(line);
-    if (!e)
-        return 0;
-    unsigned len = 0;
-    CoreId cur = e->head;
-    while (cur != invalidCore) {
-        const Node *n = findNode(cur, line);
-        if (n->valid || !validOnly)
-            ++len;
-        cur = n->fwd;
-    }
-    return len;
+    return e ? e->validNodes : 0;
 }
 
 void

@@ -125,6 +125,8 @@ class SlcProtocol : public DirectoryController<SlcProtocol, SlcNode>
     {
         CoreId head = invalidCore;
         bool zombie = false; ///< Mid-teardown after a directory eviction.
+        unsigned nodes = 0;      ///< Nodes on the list.
+        unsigned validNodes = 0; ///< Valid nodes on the list.
     };
 
     /** DirectoryController's hit tests: a load hits a valid node; a
@@ -224,9 +226,6 @@ class SlcProtocol : public DirectoryController<SlcProtocol, SlcNode>
     void wakeWaiters(LineMap<std::vector<InlineCallback>> &waiters,
                      std::uint64_t key);
 
-    /** Nodes on @p line's list, or only the valid ones. */
-    unsigned countNodes(LineAddr line, bool validOnly) const;
-
     void sampleListStats(LineAddr line);
 
     void enterEvictBuffer(CoreId core);
@@ -234,6 +233,8 @@ class SlcProtocol : public DirectoryController<SlcProtocol, SlcNode>
 
     LineMap<Entry> entries_;
     std::vector<unsigned> evictBufOcc_;
+    /** teardownEntry's snapshot of the list, reused across calls. */
+    std::vector<CoreId> teardownOrder_;
 
     /** Accesses blocked on the owning core's pending node, keyed by
      *  waiterKey(core, line). */

@@ -16,13 +16,12 @@ TxnTable::TxnTable(StatsRegistry &stats)
 }
 
 TxnTable::Id
-TxnTable::begin(LineAddr line, CoreId requester, unsigned waits,
-                Completion completion)
+TxnTable::begin(unsigned waits, Completion completion)
 {
     tsoper_assert(waits >= 1, "transaction with no legs to wait on");
     const Id id = next_++;
     entries_.tryEmplace(
-        id, Entry{line, requester, waits, 0, std::move(completion)});
+        id, Entry{waits, 0, std::move(completion)});
     allocs_.inc();
     occupancy_.add(entries_.size());
     return id;

@@ -50,8 +50,7 @@ class TxnTable
     explicit TxnTable(StatsRegistry &stats);
 
     /** Open an entry waiting on @p waits legs (>= 1). */
-    Id begin(LineAddr line, CoreId requester, unsigned waits,
-             Completion completion);
+    Id begin(unsigned waits, Completion completion);
 
     /** One leg of @p id finished at @p at; fires the completion (and
      *  retires the entry) when the wait count reaches zero. */
@@ -64,8 +63,6 @@ class TxnTable
   private:
     struct Entry
     {
-        LineAddr line;
-        CoreId requester;
         unsigned waits;
         Cycle readyAt;
         Completion completion;

@@ -349,8 +349,9 @@ BspEngine::markPersisted(const EpochPtr &e)
     // Dep-ordered persists: epochs waiting on this one may go now.
     auto dependents = std::move(e->dependents);
     e->dependents.clear();
-    for (const EpochPtr &d : dependents)
-        tryIssuePersist(d, eq_.now());
+    for (const std::weak_ptr<Epoch> &w : dependents)
+        if (const EpochPtr d = w.lock())
+            tryIssuePersist(d, eq_.now());
     checkDrainDone();
 }
 

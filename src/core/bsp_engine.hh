@@ -90,7 +90,9 @@ class BspEngine : public PersistEngine
         /** Epochs that must persist first (formed at conflicts; always
          *  open -> just-closed, hence acyclic). */
         std::vector<std::shared_ptr<Epoch>> deps;
-        std::vector<std::shared_ptr<Epoch>> dependents;
+        /** Epochs waiting on this one.  Weak: a waiting epoch holds
+         *  this one in its deps, and the core's queue owns it. */
+        std::vector<std::weak_ptr<Epoch>> dependents;
         bool waitingOnDeps = false;
     };
     using EpochPtr = std::shared_ptr<Epoch>;

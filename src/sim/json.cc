@@ -558,7 +558,7 @@ struct Parser
 bool
 Json::parse(const std::string &text, Json *out, std::string *err)
 {
-    Parser p{text};
+    Parser p{text, 0, {}};
     Json result;
     if (!p.parseValue(&result, 0)) {
         if (err)

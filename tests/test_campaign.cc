@@ -402,6 +402,94 @@ TEST(RunOne, CrashCellAuditsDurableState)
     EXPECT_FALSE(res.recoverySummary.empty());
 }
 
+// --- Shared timing runs of crash cells --------------------------------
+
+namespace
+{
+
+/** Crash cells of @p engines on dedup: 3 crash fractions x 2 seeds per
+ *  engine, so 2 timing keys per engine. */
+std::vector<RunRequest>
+crashCells(std::vector<std::string> engines)
+{
+    CampaignSpec spec;
+    spec.name = "timing";
+    spec.engines = std::move(engines);
+    spec.benches = {"dedup"};
+    spec.scales = {0.05};
+    spec.seeds = {1, 2};
+    spec.crashFractions = {0.25, 0.5, 0.75};
+    spec.check = true;
+    return expand(spec);
+}
+
+} // namespace
+
+TEST(TimingMemo, OneTimingRunPerDistinctKey)
+{
+    const std::vector<RunRequest> cells = crashCells({"tsoper", "stw"});
+    ASSERT_EQ(cells.size(), 12u);
+
+    // Four threads claim the cells, so some cells wait on a timing run
+    // another thread is still simulating.
+    TimingMemo memo;
+    std::vector<RunResult> shared(cells.size());
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&] {
+            for (std::size_t i = next++; i < cells.size(); i = next++)
+                shared[i] = runOne(cells[i], {}, &memo);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(memo.simulated(), 4u); // {tsoper, stw} x {seed 1, seed 2}
+
+    // Each cell's result is the one it gets with its own timing run.
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const RunResult alone = runOne(cells[i]);
+        const RunResult &res = shared[i];
+        ASSERT_EQ(alone.status, RunStatus::Ok) << alone.detail;
+        EXPECT_EQ(res.status, alone.status) << cells[i].id;
+        EXPECT_EQ(res.cycles, alone.cycles) << cells[i].id;
+        EXPECT_EQ(res.drainCycles, alone.drainCycles) << cells[i].id;
+        EXPECT_EQ(res.crashCycle, alone.crashCycle) << cells[i].id;
+        EXPECT_EQ(res.recoverySummary, alone.recoverySummary)
+            << cells[i].id;
+        EXPECT_EQ(res.stats.dump(), alone.stats.dump()) << cells[i].id;
+    }
+}
+
+TEST(TimingMemo, HungTimingRunGivesEveryCellOfItsGroupTheSameVerdict)
+{
+    // stw's timing runs blow a 50-cycle budget; tsoper's finish.
+    std::vector<RunRequest> cells = crashCells({"stw", "tsoper"});
+    for (RunRequest &r : cells)
+        if (r.engine == "stw")
+            r.maxCycles = 50;
+
+    RunnerOptions opt;
+    opt.jobs = 4;
+    opt.backoffBaseMs = 0;
+    const CampaignReport report = runCampaign("hung-timing", cells, opt);
+    ASSERT_EQ(report.cells.size(), cells.size());
+    for (const CellReport &cell : report.cells) {
+        if (cell.request.engine == "stw") {
+            const RunResult alone = runOne(cell.request);
+            ASSERT_EQ(alone.status, RunStatus::Hung) << alone.detail;
+            EXPECT_EQ(cell.result.status, RunStatus::Hung)
+                << cell.request.id;
+            EXPECT_EQ(cell.result.detail, alone.detail)
+                << cell.request.id;
+            EXPECT_EQ(cell.attempts, 1u) << cell.request.id;
+        } else {
+            EXPECT_EQ(cell.result.status, RunStatus::Ok)
+                << cell.request.id << ": " << cell.result.detail;
+        }
+    }
+}
+
 // --- Report JSON ------------------------------------------------------
 
 TEST(Report, JsonRoundTripsThroughParser)

@@ -34,7 +34,7 @@ TEST(TxnTable, FiresCompletionWithMaxOfAllLegs)
     TxnTable txns(stats);
     Cycle readyAt = 0;
     unsigned fired = 0;
-    const TxnTable::Id id = txns.begin(kLine, 0, 3, [&](Cycle at) {
+    const TxnTable::Id id = txns.begin(3, [&](Cycle at) {
         readyAt = at;
         ++fired;
     });
@@ -55,11 +55,11 @@ TEST(TxnTable, CompletionMayOpenNewEntries)
     StatsRegistry stats;
     TxnTable txns(stats);
     bool innerFired = false;
-    const TxnTable::Id id = txns.begin(kLine, 0, 1, [&](Cycle) {
+    const TxnTable::Id id = txns.begin(1, [&](Cycle) {
         // Re-entrancy: the outer entry is already retired here.
         EXPECT_EQ(txns.open(), 0u);
-        const TxnTable::Id inner = txns.begin(
-            kLine + 1, 1, 1, [&](Cycle) { innerFired = true; });
+        const TxnTable::Id inner =
+            txns.begin(1, [&](Cycle) { innerFired = true; });
         txns.legDone(inner, 9);
     });
     txns.legDone(id, 4);

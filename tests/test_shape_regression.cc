@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +19,7 @@
 
 #include "campaign/run_request.hh"
 #include "core/crash_checker.hh"
+#include "coherence/slc.hh"
 #include "core/system.hh"
 #include "sim/stats_json.hh"
 #include "workload/generators.hh"
@@ -325,6 +327,76 @@ TEST(ShapeRegression, SmallGeometryStatsJsonMatchesPinnedDigests)
                 EXPECT_GT(h->second.samples(), 0u) << engine;
             }
         });
+}
+
+TEST(ShapeRegression, SmallGeometrySlcListCountersMatchListWalk)
+{
+    // listLength()/validListLength() are counters kept by the list
+    // surgery.  Stop each SLC run of the small-geometry table at a few
+    // points, and at its end, and walk every touched line's list.
+    const auto checkLists = [](SlcProtocol &slc,
+                               const std::vector<LineAddr> &lines,
+                               unsigned cores, const std::string &where) {
+        for (LineAddr line : lines) {
+            unsigned holders = 0;
+            CoreId head = invalidCore;
+            for (CoreId c = 0; c < static_cast<CoreId>(cores); ++c) {
+                if (!slc.hasNode(c, line))
+                    continue;
+                ++holders;
+                if (slc.nodeBwd(c, line) == invalidCore) {
+                    ASSERT_EQ(head, invalidCore) << where << ": two heads";
+                    head = c;
+                }
+            }
+            unsigned nodes = 0;
+            unsigned valid = 0;
+            for (CoreId c = head; c != invalidCore; c = slc.nodeFwd(c, line)) {
+                ASSERT_LT(nodes, cores) << where << ": cyclic list";
+                ++nodes;
+                valid += slc.nodeValid(c, line) ? 1 : 0;
+            }
+            ASSERT_EQ(nodes, holders) << where << ": unlinked node";
+            ASSERT_EQ(slc.listLength(line), nodes)
+                << where << " line 0x" << std::hex << line;
+            ASSERT_EQ(slc.validListLength(line), valid)
+                << where << " line 0x" << std::hex << line;
+        }
+    };
+    for (const char *bench : {"canneal", "radix"}) {
+        for (const std::string &engine : engineNames()) {
+            campaign::RunRequest req;
+            req.engine = engine;
+            req.bench = bench;
+            SystemConfig cfg;
+            ASSERT_TRUE(campaign::resolveConfig(req, &cfg, nullptr));
+            shrinkGeometry(cfg, req.bench);
+            const Workload w =
+                generateByName(req.bench, cfg.numCores, 3, 0.3);
+            std::vector<LineAddr> lines;
+            for (const Trace &trace : w.perCore)
+                for (const TraceOp &op : trace)
+                    lines.push_back(lineOf(op.addr));
+            std::sort(lines.begin(), lines.end());
+            lines.erase(std::unique(lines.begin(), lines.end()),
+                        lines.end());
+
+            System full(cfg, w);
+            if (!full.slc())
+                continue; // MESI
+            const Cycle end = full.run();
+            checkLists(*full.slc(), lines, cfg.numCores,
+                       engine + "/" + bench + " at the end");
+            for (double f : {0.2, 0.4, 0.6, 0.8}) {
+                System sys(cfg, w);
+                sys.runUntilCrash(
+                    static_cast<Cycle>(static_cast<double>(end) * f));
+                checkLists(*sys.slc(), lines, cfg.numCores,
+                           engine + "/" + bench + " at " +
+                               std::to_string(f));
+            }
+        }
+    }
 }
 
 class CoreCountMatrix : public ::testing::TestWithParam<unsigned>
