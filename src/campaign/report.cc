@@ -247,7 +247,8 @@ writeReportFile(const CampaignReport &report, const std::string &path,
             *err = "cannot open for writing: " + path;
         return false;
     }
-    os << report.toJson().dump(2) << "\n";
+    report.toJson().dump(os, 2);
+    os << "\n";
     os.flush();
     if (!os) {
         if (err)

@@ -110,7 +110,8 @@ Json canonicalReportJson(const CampaignReport &report);
 
 /**
  * Write @p report.toJson() to @p path (pretty-printed, trailing
- * newline).  Returns false with a message in @p err on I/O failure.
+ * newline), streamed in bounded chunks.  Returns false with a message
+ * in @p err on I/O failure.
  */
 bool writeReportFile(const CampaignReport &report,
                      const std::string &path, std::string *err);

@@ -576,6 +576,157 @@ TEST(Report, CellJsonRoundTripsExactly)
     EXPECT_EQ(back.attemptLog[1].detail, "second");
 }
 
+namespace
+{
+
+/** A stats tree big enough that a streamed dump flushes many times. */
+Json
+bigStats(unsigned points)
+{
+    Json series = Json::array();
+    for (unsigned i = 0; i < points; ++i) {
+        Json pair = Json::array();
+        pair.push(Json(std::uint64_t{i} * 131)).push(Json(i * 0.375));
+        series.push(std::move(pair));
+    }
+    Json counters = Json::object();
+    counters.set("sys.cycles", Json(std::uint64_t{123456789}));
+    Json all = Json::object();
+    all.set("sfr.size", std::move(series));
+    Json stats = Json::object();
+    stats.set("counters", std::move(counters))
+        .set("histograms", Json::object())
+        .set("series", std::move(all));
+    return stats;
+}
+
+/** A report whose cells carry every optional field of the format. */
+CampaignReport
+fullReport(unsigned statsPoints)
+{
+    CampaignReport report;
+    report.name = "every-field";
+    report.jobs = 3;
+    report.wallMs = 42.125;
+    report.orphanedThreads = 1;
+
+    CellReport crashed;
+    crashed.request = fakeRequest("tsoper/radix/x0.1/s1/c0.5");
+    crashed.request.crashAt = 0.5;
+    crashed.request.check = true;
+    crashed.result.status = RunStatus::CheckFailed;
+    crashed.result.detail = "required store \"x\"\tmissing";
+    crashed.result.cycles = 987654;
+    crashed.result.drainCycles = 1000;
+    crashed.result.crashCycle = 493827;
+    crashed.result.ops = 4242;
+    crashed.result.stores = 1717;
+    crashed.result.recoverySummary = "3 lines";
+    crashed.result.audited = true;
+    crashed.result.durableLines = 12;
+    crashed.result.durableWords = 96;
+    crashed.result.bufferRecoveredLines = 2;
+    crashed.result.requiredStores = 80;
+    crashed.result.stats = bigStats(statsPoints);
+    crashed.wallMs = 3.5;
+    report.cells.push_back(crashed);
+
+    CellReport killed;
+    killed.request = fakeRequest("stw/dedup/x0.1/s2");
+    killed.result.status = RunStatus::Crashed;
+    killed.result.detail = "child killed by SIGSEGV";
+    killed.result.exitCode = 139;
+    killed.result.signalName = "SIGSEGV";
+    killed.result.stderrTail = "boom\n\x01";
+    killed.attempts = 2;
+    killed.wallMs = 0.1;
+    killed.quarantined = true;
+    killed.attemptLog = {{RunStatus::Crashed, 0.05, "first"},
+                         {RunStatus::Crashed, 0.05, ""}};
+    report.cells.push_back(killed);
+    return report;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    return buf.str();
+}
+
+} // namespace
+
+TEST(Report, StreamedFilesMatchTheDumpedStrings)
+{
+    const std::string path =
+        ::testing::TempDir() + "tsoper_report_stream.json";
+    CampaignReport empty;
+    empty.name = "empty";
+    for (const CampaignReport &report : {fullReport(30000), empty}) {
+        std::string err;
+        ASSERT_TRUE(writeReportFile(report, path, &err)) << err;
+        EXPECT_EQ(readFile(path), report.toJson().dump(2) + "\n")
+            << report.name;
+
+        const Json canonical = canonicalReportJson(report);
+        std::ostringstream os;
+        canonical.dump(os, 2);
+        EXPECT_EQ(os.str(), canonical.dump(2)) << report.name;
+    }
+    std::remove(path.c_str());
+
+    std::string err;
+    EXPECT_FALSE(writeReportFile(empty, ::testing::TempDir() +
+                                            "no-such-dir/report.json",
+                                 &err));
+    EXPECT_NE(err.find("cannot open"), std::string::npos);
+}
+
+TEST(Report, CopiesOfOneDocumentDumpAndMutateConcurrently)
+{
+    const CampaignReport report = fullReport(2000);
+    const Json shared = report.toJson();
+    const std::string expected = shared.dump(2);
+
+    std::atomic<bool> sameBytes{true};
+    auto reader = [&] {
+        for (int i = 0; i < 3; ++i) {
+            const Json copy = shared;
+            std::ostringstream os;
+            copy.dump(os, 2);
+            if (os.str() != expected)
+                sameBytes = false;
+        }
+    };
+    std::string mutated;
+    auto writer = [&] {
+        Json mine = shared;
+        for (int i = 0; i < 20; ++i) {
+            Json cells = mine["cells"];
+            Json cell = cells.at(0);
+            Json stats = cell["stats"];
+            stats.set("writer", Json(i));
+            cell.set("stats", std::move(stats));
+            cells.push(std::move(cell));
+            mine.set("cells", std::move(cells)).set("round", Json(i));
+        }
+        mutated = mine.dump();
+    };
+    std::thread a(reader), b(reader), c(writer);
+    a.join();
+    b.join();
+    c.join();
+
+    EXPECT_TRUE(sameBytes.load());
+    EXPECT_EQ(shared.dump(2), expected);
+    Json back;
+    ASSERT_TRUE(Json::parse(mutated, &back));
+    EXPECT_EQ(back["cells"].size(), report.cells.size() + 20);
+    EXPECT_EQ(back["round"].asInt(), 19);
+}
+
 // --- Journal / resume -------------------------------------------------
 
 namespace

@@ -453,7 +453,8 @@ main(int argc, char **argv)
     }
     if (!opt.canonicalOut.empty()) {
         std::ofstream os(opt.canonicalOut);
-        os << canonicalReportJson(report).dump(2) << "\n";
+        canonicalReportJson(report).dump(os, 2);
+        os << "\n";
         os.flush();
         if (!os) {
             std::fprintf(stderr, "cannot write %s\n",
