@@ -85,10 +85,10 @@ builtinCampaigns()
             // durable state must audit clean at *any* instant.  bsp /
             // bsp-slc and hwrp are deliberately absent: our BSP model
             // only guarantees epoch-boundary durability (a mid-epoch
-            // crash can expose a torn epoch) and HW-RP's SFR contract
-            // has crash points the relaxed audit rejects — the
-            // crash-matrix-full campaign exists to observe exactly
-            // those windows.
+            // crash can expose a torn epoch), and HW-RP only promises
+            // SFR-granular persistency, so it is held to the relaxed
+            // audit, not the strict one.  crash-matrix-full covers
+            // them and maps the BSP windows.
             BuiltinCampaign c;
             c.name = "crash-matrix";
             c.description =
