@@ -42,7 +42,9 @@ struct CellReport
     RunRequest request;
     RunResult result;       ///< Outcome of the final attempt.
     unsigned attempts = 1;  ///< == attemptLog.size() when it is kept.
-    double wallMs = 0.0;    ///< Wall-clock of the final attempt.
+    /** Wall-clock of the final attempt; a crash-group cell's share
+     *  of its group's attempt (campaign/runner.hh). */
+    double wallMs = 0.0;
 
     /** Every attempt in order (status, wall-clock, detail). */
     std::vector<AttemptRecord> attemptLog;

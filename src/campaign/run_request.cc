@@ -1,9 +1,13 @@
 #include "campaign/run_request.hh"
 
+#include <algorithm>
+#include <chrono>
 #include <exception>
+#include <memory>
 
 #include "core/recovery.hh"
 #include "core/system.hh"
+#include "sim/log.hh"
 #include "sim/stats_json.hh"
 #include "sim/trace_sink.hh"
 #include "sim/watchdog.hh"
@@ -261,46 +265,13 @@ resolveConfig(const RunRequest &r, SystemConfig *cfg, std::string *err)
     return true;
 }
 
-TimingMemo::Timing
-TimingMemo::get(const RunRequest &r,
-                const std::function<Timing()> &simulate)
+std::string
+crashGroupKey(const RunRequest &r)
 {
     RunRequest keyed = r;
     keyed.id.clear();
     keyed.crashAt = 0.0;
-    keyed.traceCategories.clear();
-    keyed.traceOut.clear();
-    keyed.auditPersists = false;
-    keyed.auditFault.clear();
-    keyed.flightRecorder = 0;
-    const std::string key = keyed.toJson().dump();
-
-    std::promise<Timing> claim;
-    std::shared_future<Timing> result;
-    bool claimed = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto [it, inserted] = runs_.try_emplace(key);
-        if (inserted)
-            it->second = claim.get_future().share();
-        result = it->second;
-        claimed = inserted;
-    }
-    if (claimed) {
-        try {
-            claim.set_value(simulate());
-        } catch (...) {
-            claim.set_exception(std::current_exception());
-        }
-    }
-    return result.get();
-}
-
-std::size_t
-TimingMemo::simulated() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return runs_.size();
+    return keyed.toJson().dump();
 }
 
 namespace
@@ -321,46 +292,56 @@ fillAudit(RunResult *res, const RecoveryReport &report)
     }
 }
 
-} // namespace
-
-RunResult
-runOne(const RunRequest &r, const RunHooks &hooks, TimingMemo *timing)
+/** Resolve @p r 's config and build its workload into @p cfg and
+ *  @p w.  On failure @p res carries the BadRequest detail; on success
+ *  its ops and stores are set. */
+bool
+prepare(const RunRequest &r, SystemConfig *cfg, Workload *w,
+        RunResult *res)
 {
-    RunResult res;
-    SystemConfig cfg;
-    if (!resolveConfig(r, &cfg, &res.detail))
-        return res; // BadRequest: unknown engine
+    if (!resolveConfig(r, cfg, &res->detail))
+        return false; // unknown engine
 
     if (r.traceFile.empty() && !findProfile(r.bench)) {
-        res.detail = "unknown benchmark: " + r.bench;
-        return res;
+        res->detail = "unknown benchmark: " + r.bench;
+        return false;
     }
-
-    Workload w;
     try {
-        w = r.traceFile.empty()
-                ? generateByName(r.bench, cfg.numCores, r.seed, r.scale)
-                : loadWorkloadFile(r.traceFile);
+        *w = r.traceFile.empty()
+                 ? generateByName(r.bench, cfg->numCores, r.seed, r.scale)
+                 : loadWorkloadFile(r.traceFile);
     } catch (const std::exception &e) {
-        res.detail = e.what(); // BadRequest: workload did not build
-        return res;
+        res->detail = e.what(); // the workload did not build
+        return false;
     }
     std::string error;
-    if (!validateWorkload(w, &error)) {
-        res.detail = "invalid workload: " + error;
-        return res;
+    if (!validateWorkload(*w, &error)) {
+        res->detail = "invalid workload: " + error;
+        return false;
     }
-    if (w.perCore.size() != cfg.numCores) {
-        res.detail = "invalid workload: it has " +
-                     std::to_string(w.perCore.size()) +
-                     " cores but the run is configured for " +
-                     std::to_string(cfg.numCores) + " (set --cores=" +
-                     std::to_string(w.perCore.size()) + ")";
-        return res;
+    if (w->perCore.size() != cfg->numCores) {
+        res->detail = "invalid workload: it has " +
+                      std::to_string(w->perCore.size()) +
+                      " cores but the run is configured for " +
+                      std::to_string(cfg->numCores) + " (set --cores=" +
+                      std::to_string(w->perCore.size()) + ")";
+        return false;
     }
-    res.ops = w.totalOps();
-    res.stores = w.totalStores();
+    res->ops = w->totalOps();
+    res->stores = w->totalStores();
+    return true;
+}
 
+PersistModel
+persistModel(const SystemConfig &cfg)
+{
+    return cfg.engine == EngineKind::HwRp ? PersistModel::RelaxedSfr
+                                          : PersistModel::StrictTso;
+}
+
+trace::TraceOptions
+traceOptions(const RunRequest &r, const SystemConfig &cfg)
+{
     trace::TraceOptions topt;
     topt.categories = r.traceCategories;
     topt.perfettoPath = r.traceOut;
@@ -373,105 +354,226 @@ runOne(const RunRequest &r, const RunHooks &hooks, TimingMemo *timing)
     // spontaneous persists, so they get the order-graph checks only.
     topt.strictCoreFifo = cfg.engine == EngineKind::Tsoper ||
                           cfg.engine == EngineKind::Stw;
+    return topt;
+}
 
-    // Started just before the measured System is built (crash requests
-    // run an untraced timing run first whose restarted group ids would
-    // otherwise pollute the audit log).
-    std::unique_ptr<trace::TraceSession> session;
-    const auto startTrace = [&] {
-        if (topt.any())
-            session = std::make_unique<trace::TraceSession>(topt);
-    };
-    const auto finishTrace = [&] {
-        if (!session)
-            return;
-        const trace::TraceSession::Outcome out = session->finish();
-        if (out.audited) {
-            res.persistAudited = true;
-            res.persistAuditOk = out.audit.ok;
-            res.persistAuditDetail = out.audit.detail;
-            res.persistCommits = out.audit.commits;
-            res.persistEdges = out.audit.edges;
-            res.persistGroups = out.audit.groups;
-            if (!out.audit.ok && res.status == RunStatus::Ok) {
-                res.status = RunStatus::CheckFailed;
-                res.detail = out.audit.detail;
-            }
+/** Finish @p session (if any) and fold its audit and Perfetto outcome
+ *  into @p res. */
+void
+finishTrace(trace::TraceSession *session, RunResult *res)
+{
+    if (!session)
+        return;
+    const trace::TraceSession::Outcome out = session->finish();
+    if (out.audited) {
+        res->persistAudited = true;
+        res->persistAuditOk = out.audit.ok;
+        res->persistAuditDetail = out.audit.detail;
+        res->persistCommits = out.audit.commits;
+        res->persistEdges = out.audit.edges;
+        res->persistGroups = out.audit.groups;
+        if (!out.audit.ok && res->status == RunStatus::Ok) {
+            res->status = RunStatus::CheckFailed;
+            res->detail = out.audit.detail;
         }
-        if (!out.perfettoError.empty() &&
-            res.status == RunStatus::Ok) {
-            res.status = RunStatus::Crashed;
-            res.detail = out.perfettoError;
-        }
-    };
+    }
+    if (!out.perfettoError.empty() && res->status == RunStatus::Ok) {
+        res->status = RunStatus::Crashed;
+        res->detail = out.perfettoError;
+    }
+}
 
+/** Classify the exception in flight into @p res. */
+void
+failWith(std::exception_ptr error, RunResult *res)
+{
     try {
-        const PersistModel model = cfg.engine == EngineKind::HwRp
-                                       ? PersistModel::RelaxedSfr
-                                       : PersistModel::StrictTso;
-
-        if (r.crashAt > 0.0) {
-            Cycle crashCycle = static_cast<Cycle>(r.crashAt);
-            if (r.crashAt <= 1.0) {
-                const auto simulate = [&] {
-                    // No store log: it serves only the crash run's
-                    // checker.
-                    SystemConfig fullCfg = cfg;
-                    fullCfg.recordStores = false;
-                    System full(fullCfg, w);
-                    TimingMemo::Timing tm;
-                    tm.cycles = full.run(r.maxCycles);
-                    tm.drainCycles = full.stats().get("sys.drain_cycles");
-                    return tm;
-                };
-                const TimingMemo::Timing tm =
-                    timing ? timing->get(r, simulate) : simulate();
-                crashCycle = static_cast<Cycle>(
-                    static_cast<double>(tm.cycles) * r.crashAt);
-                res.cycles = tm.cycles;
-                res.drainCycles = tm.drainCycles;
-            }
-            startTrace();
-            System sys(cfg, w);
-            sys.runUntilCrash(crashCycle);
-            res.crashCycle = crashCycle;
-            res.status = RunStatus::Ok;
-            fillAudit(&res, recover(sys, model));
-            // The checks are prefix-sound (groups the cold stop left
-            // incomplete are skipped), so the audit applies to the
-            // pre-crash persist stream as well.
-            finishTrace();
-            res.stats = statsToJson(sys.stats());
-            if (hooks.onFinished)
-                hooks.onFinished(sys);
-            return res;
-        }
-
-        startTrace();
-        System sys(cfg, w);
-        res.cycles = sys.run(r.maxCycles);
-        res.drainCycles = sys.stats().get("sys.drain_cycles");
-        res.status = RunStatus::Ok;
-        finishTrace();
-        if (r.check)
-            fillAudit(&res, recover(sys, model));
-        res.stats = statsToJson(sys.stats());
-        if (hooks.onFinished)
-            hooks.onFinished(sys);
-        return res;
+        std::rethrow_exception(error);
     } catch (const HungError &e) {
         // The progress watchdog proved a livelock/deadlock; e.what()
         // carries the reason plus the machine-state dump.  Hung is a
         // deterministic verdict (same seed, same livelock), so the
         // runner does not retry it.
-        res.status = RunStatus::Hung;
-        res.detail = e.what();
-        return res;
+        res->status = RunStatus::Hung;
+        res->detail = e.what();
     } catch (const std::exception &e) {
-        res.status = RunStatus::Crashed;
-        res.detail = e.what();
-        return res;
+        res->status = RunStatus::Crashed;
+        res->detail = e.what();
     }
+}
+
+} // namespace
+
+std::vector<RunResult>
+runCrashGroup(const std::vector<RunRequest> &group, const RunHooks &hooks,
+              std::vector<double> *cellMs)
+{
+    tsoper_assert(!group.empty(), "runCrashGroup of no requests");
+    const std::string key = crashGroupKey(group.front());
+    for (const RunRequest &r : group)
+        tsoper_assert(r.crashAt > 0.0 && crashGroupKey(r) == key,
+                      "runCrashGroup: ", r.id, " is not a crash cell of ",
+                      group.front().id, "'s group");
+
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point last = Clock::now();
+    if (cellMs)
+        cellMs->assign(group.size(), 0.0);
+    // Charges the host time since the last settled cell to cell i.
+    const auto settle = [&](std::size_t i) {
+        const Clock::time_point now = Clock::now();
+        if (cellMs)
+            (*cellMs)[i] =
+                std::chrono::duration<double, std::milli>(now - last)
+                    .count();
+        last = now;
+    };
+
+    const RunRequest &r = group.front();
+    RunResult base;
+    SystemConfig cfg;
+    Workload w;
+    const bool prepared = prepare(r, &cfg, &w, &base);
+    std::vector<RunResult> results(group.size(), base);
+    if (!prepared) {
+        for (std::size_t i = 0; i < group.size(); ++i)
+            settle(i);
+        return results;
+    }
+
+    // The untraced timing run gives fractional crash points their
+    // cycle.  It records no stores: the log serves only the checker.
+    RunResult timing = base;
+    bool timingFailed = false;
+    if (std::any_of(group.begin(), group.end(), [](const RunRequest &q) {
+            return q.crashAt <= 1.0;
+        })) {
+        try {
+            SystemConfig fullCfg = cfg;
+            fullCfg.recordStores = false;
+            System full(fullCfg, w);
+            timing.cycles = full.run(r.maxCycles);
+            timing.drainCycles = full.stats().get("sys.drain_cycles");
+        } catch (...) {
+            failWith(std::current_exception(), &timing);
+            timingFailed = true;
+        }
+    }
+
+    // Crash points in ascending cycle order; fractional cells of a
+    // failed timing run take its verdict.
+    std::vector<std::pair<Cycle, std::size_t>> points;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+        const double at = group[i].crashAt;
+        if (at > 1.0) {
+            points.emplace_back(static_cast<Cycle>(at), i);
+            continue;
+        }
+        results[i] = timing;
+        if (timingFailed) {
+            settle(i);
+            continue;
+        }
+        points.emplace_back(static_cast<Cycle>(
+                                static_cast<double>(timing.cycles) * at),
+                            i);
+    }
+    std::stable_sort(points.begin(), points.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+
+    const PersistModel model = persistModel(cfg);
+    const trace::TraceOptions topt = traceOptions(r, cfg);
+    // Stops @p sys at @p at and fills @p res from it.  The checks are
+    // prefix-sound (groups the cold stop left incomplete are skipped),
+    // so the persist audit applies to the pre-crash stream as well.
+    const auto crashCell = [&](System &sys, Cycle at, RunResult *res,
+                               trace::TraceSession *session) {
+        sys.runUntilCrash(at);
+        res->crashCycle = at;
+        res->status = RunStatus::Ok;
+        fillAudit(res, recover(sys, model));
+        finishTrace(session, res);
+        res->stats = statsToJson(sys.stats());
+        if (hooks.onFinished)
+            hooks.onFinished(sys);
+    };
+
+    if (topt.any()) {
+        // A trace session covers exactly one run, so a traced cell
+        // gets a System of its own.  The session starts just before
+        // it is built: the timing run's restarted group ids would
+        // otherwise pollute the audit log.
+        for (const auto &[at, i] : points) {
+            try {
+                trace::TraceSession session(topt);
+                System sys(cfg, w);
+                crashCell(sys, at, &results[i], &session);
+            } catch (...) {
+                failWith(std::current_exception(), &results[i]);
+            }
+            settle(i);
+        }
+        return results;
+    }
+
+    if (points.empty())
+        return results;
+    // One System advanced through every crash point: stopping at an
+    // earlier point leaves the run as it was (System::runUntilCrash).
+    // A failure ends the run, so it is the verdict of every later
+    // point too.
+    std::size_t k = 0;
+    try {
+        System sys(cfg, w);
+        for (; k < points.size(); ++k) {
+            crashCell(sys, points[k].first, &results[points[k].second],
+                      nullptr);
+            settle(points[k].second);
+        }
+    } catch (...) {
+        const std::exception_ptr error = std::current_exception();
+        for (; k < points.size(); ++k) {
+            failWith(error, &results[points[k].second]);
+            settle(points[k].second);
+        }
+    }
+    return results;
+}
+
+RunResult
+runOne(const RunRequest &r, const RunHooks &hooks)
+{
+    if (r.crashAt > 0.0)
+        return runCrashGroup({r}, hooks).front();
+
+    RunResult res;
+    SystemConfig cfg;
+    Workload w;
+    if (!prepare(r, &cfg, &w, &res))
+        return res;
+
+    // Started just before the measured System is built.
+    const trace::TraceOptions topt = traceOptions(r, cfg);
+    std::unique_ptr<trace::TraceSession> session;
+    try {
+        if (topt.any())
+            session = std::make_unique<trace::TraceSession>(topt);
+        System sys(cfg, w);
+        res.cycles = sys.run(r.maxCycles);
+        res.drainCycles = sys.stats().get("sys.drain_cycles");
+        res.status = RunStatus::Ok;
+        finishTrace(session.get(), &res);
+        if (r.check)
+            fillAudit(&res, recover(sys, persistModel(cfg)));
+        res.stats = statsToJson(sys.stats());
+        if (hooks.onFinished)
+            hooks.onFinished(sys);
+    } catch (...) {
+        failWith(std::current_exception(), &res);
+    }
+    return res;
 }
 
 } // namespace tsoper::campaign

@@ -16,9 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -161,40 +158,6 @@ struct RunHooks
 };
 
 /**
- * The full runs that fractional crash cells take their crash cycle
- * from, shared by the cells of one campaign.  Cells whose requests
- * differ only in id, crash fraction, tracing or persist audit are
- * deterministic copies of one full run, so the first cell of such a
- * key simulates it and the others wait on its result.  A throw
- * (HungError, a simulator panic) is shared the same way, so each cell
- * of the group gets the verdict and detail it would get alone.
- * Thread-safe.
- */
-class TimingMemo
-{
-  public:
-    struct Timing
-    {
-        Cycle cycles = 0;      ///< Finish cycle of the full run.
-        Cycle drainCycles = 0; ///< Its sys.drain_cycles.
-    };
-
-    /** The timing of @p r 's key: computed by @p simulate on the
-     *  calling thread if no cell has claimed the key yet, else the
-     *  claimant's result, waited for.  Rethrows what the claimant's
-     *  @p simulate threw. */
-    Timing get(const RunRequest &r,
-               const std::function<Timing()> &simulate);
-
-    /** Full runs simulated so far: one per distinct key. */
-    std::size_t simulated() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::string, std::shared_future<Timing>> runs_;
-};
-
-/**
  * Resolve @p r into a validated SystemConfig.  Returns false (with a
  * message in @p err) for unknown engine names; benchmark resolution
  * happens in runOne since trace-driven requests have no profile.
@@ -205,12 +168,38 @@ bool resolveConfig(const RunRequest &r, SystemConfig *cfg,
 /**
  * Execute @p r to completion and classify the outcome.  Never throws:
  * simulator panics and I/O failures come back as RunStatus::Crashed /
- * BadRequest with the message in RunResult::detail.  A fractional
- * crash request takes its full-run timing from @p timing when given
- * (see TimingMemo), else simulates it itself.
+ * BadRequest with the message in RunResult::detail.  A crash request
+ * (crashAt > 0) is runCrashGroup({r}).
  */
-RunResult runOne(const RunRequest &r, const RunHooks &hooks = {},
-                 TimingMemo *timing = nullptr);
+RunResult runOne(const RunRequest &r, const RunHooks &hooks = {});
+
+/**
+ * The crash group of @p r: its canonical JSON without id and crashAt.
+ * Crash requests with equal keys form one group.
+ */
+std::string crashGroupKey(const RunRequest &r);
+
+/**
+ * Run a crash group: crash requests (crashAt > 0) with one
+ * crashGroupKey.  The workload is generated once and the untraced
+ * timing run simulated once, only if some crash point is fractional;
+ * then one System is advanced through the crash points in ascending
+ * cycle order (System::runUntilCrash), and each cell's recovery audit
+ * and stats are taken at its point.  Traced or audited requests get a
+ * System each, since a trace session covers exactly one run.
+ *
+ * @return one result per request of @p group, in its order, each
+ * equal to runOne of that request alone — except that a hang or
+ * crash of the shared run is the verdict of its point and every later
+ * one, with the detail of where the shared run failed.  @p hooks
+ * fire once per crash point.  When @p cellMs is given it receives
+ * each cell's host milliseconds: the time since the previous cell was
+ * settled, so the first cell in crash order also carries the workload
+ * and the timing run.
+ */
+std::vector<RunResult> runCrashGroup(const std::vector<RunRequest> &group,
+                                     const RunHooks &hooks = {},
+                                     std::vector<double> *cellMs = nullptr);
 
 } // namespace campaign
 } // namespace tsoper

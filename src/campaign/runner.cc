@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -39,24 +40,33 @@ enum class AttemptState : int
     Orphaned = 2,
 };
 
+/** What one attempt of a unit gave each of its cells.  wallMs stays
+ *  empty when the executor does not time cells one by one. */
+struct Attempt
+{
+    std::vector<RunResult> results;
+    std::vector<double> wallMs;
+};
+
+using UnitFn = std::function<Attempt(const std::vector<RunRequest> &)>;
+
 /** One attempt with a wall-clock budget. */
-RunResult
-attemptWithTimeout(const RunRequest &request,
-                   const std::function<RunResult(const RunRequest &)> &fn,
-                   std::chrono::milliseconds timeout)
+Attempt
+attemptWithTimeout(const std::vector<RunRequest> &requests,
+                   const UnitFn &fn, std::chrono::milliseconds timeout)
 {
     if (timeout.count() <= 0)
-        return fn(request);
+        return fn(requests);
 
     auto state = std::make_shared<std::atomic<int>>(
         static_cast<int>(AttemptState::Running));
-    auto prom = std::make_shared<std::promise<RunResult>>();
-    std::future<RunResult> future = prom->get_future();
+    auto prom = std::make_shared<std::promise<Attempt>>();
+    std::future<Attempt> future = prom->get_future();
     // fn by value: an orphaned attempt keeps running after this
     // function, and its caller's fn, have gone.
-    std::thread worker([fn, request, state, prom] {
+    std::thread worker([fn, requests, state, prom] {
         try {
-            prom->set_value(fn(request));
+            prom->set_value(fn(requests));
         } catch (...) {
             prom->set_exception(std::current_exception());
         }
@@ -82,11 +92,11 @@ attemptWithTimeout(const RunRequest &request,
     }
     liveOrphans.fetch_add(1, std::memory_order_relaxed);
     worker.detach();
-    RunResult result;
-    result.status = RunStatus::Timeout;
-    result.detail = "exceeded " + std::to_string(timeout.count()) +
-                    " ms wall-clock budget";
-    return result;
+    RunResult timedOut;
+    timedOut.status = RunStatus::Timeout;
+    timedOut.detail = "exceeded " + std::to_string(timeout.count()) +
+                      " ms wall-clock budget";
+    return {std::vector<RunResult>(requests.size(), timedOut), {}};
 }
 
 bool
@@ -95,18 +105,41 @@ retryable(RunStatus status)
     return status == RunStatus::Timeout || status == RunStatus::Crashed;
 }
 
-using CellFn = std::function<RunResult(const RunRequest &)>;
+/** The in-process executor of @p opt: its cellFn, else runOne, or
+ *  runCrashGroup for a crash group. */
+UnitFn
+unitExecutor(const RunnerOptions &opt)
+{
+    if (opt.cellFn)
+        return [fn = opt.cellFn](const std::vector<RunRequest> &requests) {
+            return Attempt{{fn(requests.front())}, {}};
+        };
+    return [](const std::vector<RunRequest> &requests) {
+        Attempt a;
+        if (requests.size() == 1)
+            a.results.push_back(runOne(requests.front()));
+        else
+            a.results = runCrashGroup(requests, {}, &a.wallMs);
+        return a;
+    };
+}
 
-/** runCell with @p fn as the in-process executor. */
-CellReport
-runCellWith(const RunRequest &request, const RunnerOptions &opt,
-            const CellFn &fn)
+/**
+ * Run one unit — a cell, or an in-process crash group — under the
+ * timeout/retry/backoff policy.  Each attempt runs the whole unit;
+ * it is retried while some cell's verdict is transient, and a cell
+ * still transient after the last attempt is quarantined.
+ */
+std::vector<CellReport>
+runUnit(const std::vector<RunRequest> &requests, const RunnerOptions &opt,
+        const UnitFn &fn)
 {
     const bool isolate =
         opt.isolation == Isolation::Subprocess && !opt.cellFn;
 
-    CellReport cell;
-    cell.request = request;
+    std::vector<CellReport> cells(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        cells[i].request = requests[i];
     for (unsigned attempt = 0;; ++attempt) {
         if (attempt > 0 && opt.backoffBaseMs) {
             const std::uint64_t raw =
@@ -118,26 +151,39 @@ runCellWith(const RunRequest &request, const RunnerOptions &opt,
                 std::chrono::milliseconds(delay));
         }
         const Clock::time_point start = Clock::now();
+        Attempt a;
         if (isolate) {
             SubprocessOptions sub = opt.subprocess;
             sub.timeout = opt.timeout;
-            SubprocessOutcome outcome = runSubprocess(request, sub);
-            cell.result = std::move(outcome.result);
-            cell.wallMs = outcome.wallMs;
+            SubprocessOutcome outcome =
+                runSubprocess(requests.front(), sub);
+            a.results.push_back(std::move(outcome.result));
+            a.wallMs.push_back(outcome.wallMs);
         } else {
-            cell.result = attemptWithTimeout(request, fn, opt.timeout);
-            cell.wallMs = msSince(start);
+            a = attemptWithTimeout(requests, fn, opt.timeout);
         }
-        cell.attempts = attempt + 1;
-        cell.attemptLog.push_back(
-            {cell.result.status, cell.wallMs, cell.result.detail});
-        if (!retryable(cell.result.status))
-            return cell;
+        if (a.wallMs.empty())
+            a.wallMs.assign(requests.size(),
+                            msSince(start) /
+                                static_cast<double>(requests.size()));
+        bool transient = false;
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            CellReport &cell = cells[i];
+            cell.result = std::move(a.results[i]);
+            cell.wallMs = a.wallMs[i];
+            cell.attempts = attempt + 1;
+            cell.attemptLog.push_back(
+                {cell.result.status, cell.wallMs, cell.result.detail});
+            transient |= retryable(cell.result.status);
+        }
+        if (!transient)
+            return cells;
         if (attempt >= opt.retries) {
             // Transient failure survived every attempt: quarantine the
             // cell so one sick run cannot poison the sweep's totals.
-            cell.quarantined = true;
-            return cell;
+            for (CellReport &cell : cells)
+                cell.quarantined = retryable(cell.result.status);
+            return cells;
         }
     }
 }
@@ -153,11 +199,7 @@ liveOrphanCount()
 CellReport
 runCell(const RunRequest &request, const RunnerOptions &opt)
 {
-    return runCellWith(request, opt,
-                       opt.cellFn ? opt.cellFn
-                                  : [](const RunRequest &r) {
-                                        return runOne(r);
-                                    });
+    return runUnit({request}, opt, unitExecutor(opt)).front();
 }
 
 CampaignReport
@@ -222,37 +264,44 @@ runCampaign(const std::string &name,
         pending.push_back(i);
     }
 
-    // In-process crash cells share one full timing run per key.  The
-    // memo is owned by every copy of fn, so an attempt thread orphaned
-    // by a timeout keeps it alive past this function.
-    const auto timing = std::make_shared<TimingMemo>();
-    const CellFn fn = opt.cellFn ? opt.cellFn
-                                 : [timing](const RunRequest &r) {
-                                       return runOne(r, {}, timing.get());
-                                   };
-    // Crash fraction outermost, so the cells that share a timing run
-    // are claimed apart rather than waiting on each other.
-    std::stable_sort(pending.begin(), pending.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return cells[a].crashAt < cells[b].crashAt;
-                     });
+    // Units of work in manifest order: a cell, or every pending
+    // in-process crash cell of one crash group (runCrashGroup).
+    const bool grouped =
+        opt.isolation == Isolation::InProcess && !opt.cellFn;
+    std::vector<std::vector<std::size_t>> units;
+    std::map<std::string, std::size_t> unitOfGroup;
+    for (const std::size_t i : pending) {
+        if (grouped && cells[i].crashAt > 0.0) {
+            const auto [it, fresh] = unitOfGroup.try_emplace(
+                crashGroupKey(cells[i]), units.size());
+            if (!fresh) {
+                units[it->second].push_back(i);
+                continue;
+            }
+        }
+        units.push_back({i});
+    }
 
+    const UnitFn fn = unitExecutor(opt);
     std::atomic<std::size_t> claimed{0};
-    const auto claimCells = [&] {
-        for (std::size_t k = claimed++; k < pending.size(); k = claimed++) {
-            // Last-first: forward order raised crash-sweep peak RSS 13%.
-            const std::size_t i = pending[pending.size() - 1 - k];
-            CellReport cell = runCellWith(cells[i], opt, fn);
-            if (opt.journal)
-                opt.journal->append(cell);
-            progressLine(cell, ++done);
-            report.cells[i] = std::move(cell);
+    const auto claimUnits = [&] {
+        for (std::size_t k = claimed++; k < units.size(); k = claimed++) {
+            std::vector<RunRequest> requests;
+            for (const std::size_t i : units[k])
+                requests.push_back(cells[i]);
+            std::vector<CellReport> reports = runUnit(requests, opt, fn);
+            for (std::size_t j = 0; j < reports.size(); ++j) {
+                if (opt.journal)
+                    opt.journal->append(reports[j]);
+                progressLine(reports[j], ++done);
+                report.cells[units[k][j]] = std::move(reports[j]);
+            }
         }
     };
     std::vector<std::thread> threads(
-        std::min<std::size_t>(jobs, pending.size()));
+        std::min<std::size_t>(jobs, units.size()));
     for (std::thread &t : threads)
-        t = std::thread(claimCells);
+        t = std::thread(claimUnits);
     for (std::thread &t : threads)
         t.join();
 

@@ -1,21 +1,38 @@
 /**
  * @file
  * Campaign runner: executes a list of run manifests on `jobs`
- * threads that claim cells last-first, with per-cell wall-clock
- * timeout, retry with exponential backoff on transient failure, and
- * live progress reporting, then aggregates everything into a
- * CampaignReport.
+ * threads that claim units of work in manifest order, with a
+ * per-attempt wall-clock timeout, retry with exponential backoff on
+ * transient failure, and live progress reporting, then aggregates
+ * everything into a CampaignReport.
+ *
+ * A unit is a single cell, or — in-process only — a whole crash
+ * group: the pending crash cells whose requests differ only in id and
+ * crash point (crashGroupKey).  runCrashGroup simulates a group's
+ * timing run once and advances one System through its crash points,
+ * so a group of N fractional points costs one full run plus the run
+ * to its last point instead of N + 1 runs' worth.  Each attempt runs
+ * the whole unit under one budget; the unit is retried while some
+ * cell's verdict is transient.  A grouped cell's `attempts` is its
+ * unit's, and its wallMs is its share of the attempt: the host time
+ * from the previous cell's result to its own, so the group's first
+ * crash point also carries the workload and the timing run, and the
+ * cells' wallMs add up to the group's.  If a group hangs or crashes
+ * between crash points, every later point gets that one verdict,
+ * whose detail may name other event counts than a solo run of the
+ * cell would.
  *
  * Two isolation modes (RunnerOptions::isolation):
  *
- *  - InProcess (default): each attempt calls runOne() on its own
- *    thread.  Fast, but a cell that SIGSEGVs takes the campaign down
+ *  - InProcess (default): each attempt calls runOne() (or
+ *    runCrashGroup()) on its own thread.  Fast, but a cell that SIGSEGVs takes the campaign down
  *    with it, and a timed-out attempt's thread can only be detached —
  *    it burns a core until the process exits.  The count of such
  *    orphans is tracked (liveOrphanCount()) and surfaced in the
  *    report.
- *  - Subprocess: each attempt fork/execs `tsoper_sim` with a memory
- *    rlimit and a hard SIGKILL on timeout.  A crashing or runaway
+ *  - Subprocess: each attempt fork/execs `tsoper_sim` for one cell
+ *    (one crash point per process) with a memory rlimit and a hard
+ *    SIGKILL on timeout.  A crashing or runaway
  *    cell is contained: its signal, exit code and stderr tail land in
  *    the CellReport and nothing outlives the attempt.
  *
@@ -61,7 +78,8 @@ struct RunnerOptions
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     unsigned jobs = 0;
 
-    /** Per-attempt wall-clock budget; <= 0 disables the timeout. */
+    /** Per-attempt wall-clock budget (a crash group's attempt runs
+     *  the whole group); <= 0 disables the timeout. */
     std::chrono::milliseconds timeout{120000};
 
     /** Extra attempts after a Timeout/Crashed outcome. */
@@ -94,7 +112,8 @@ struct RunnerOptions
 
     /** Cell executor; defaults to runOne().  Tests substitute fakes
      *  (hung cells, flaky cells) to exercise timeout/retry.  When set
-     *  it is used even in Subprocess mode. */
+     *  it is used even in Subprocess mode, and every unit is a single
+     *  cell. */
     std::function<RunResult(const RunRequest &)> cellFn;
 };
 
@@ -115,9 +134,8 @@ CellReport runCell(const RunRequest &request, const RunnerOptions &opt);
 /**
  * Execute @p cells in parallel and aggregate.  Cell order in the
  * report matches @p cells regardless of completion order.  In-process
- * crash cells that differ only in crash fraction share one timing run
- * (TimingMemo); cells are claimed in descending crash fraction so the
- * cells of one timing run do not start together.
+ * crash cells run as crash groups (see file comment); resumed cells
+ * leave their group, whose other cells run as a smaller group.
  */
 CampaignReport runCampaign(const std::string &name,
                            const std::vector<RunRequest> &cells,

@@ -100,6 +100,16 @@ System::System(const SystemConfig &cfg, const Workload &workload)
 
 System::~System() = default;
 
+void
+System::startCores()
+{
+    if (started_)
+        return;
+    started_ = true;
+    for (auto &cpu : cpus_)
+        cpu->start();
+}
+
 Cycle
 System::run(Cycle maxCycles)
 {
@@ -109,8 +119,7 @@ System::run(Cycle maxCycles)
     const auto progress = [this] { return progressSignature(); };
     const auto dump = [this] { return dumpState(); };
 
-    for (auto &cpu : cpus_)
-        cpu->start();
+    startCores();
     runGuarded(eq_, [this] { return allFinished(); }, maxCycles,
                watchdog, progress, dump, "execution");
     const Cycle finish = finishCycle();
@@ -126,8 +135,10 @@ System::run(Cycle maxCycles)
 std::unordered_map<LineAddr, LineWords>
 System::runUntilCrash(Cycle crashAt)
 {
-    for (auto &cpu : cpus_)
-        cpu->start();
+    tsoper_assert(crashAt >= crashedAt_, "runUntilCrash(", crashAt,
+                  ") after a crash at cycle ", crashedAt_);
+    crashedAt_ = crashAt;
+    startCores();
     if (!cfg_.watchdogCheckEvents) {
         eq_.run(crashAt);
         return durableImage();

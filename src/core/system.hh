@@ -69,6 +69,15 @@ class System
      * Run until @p crashAt, then stop the machine cold.
      * @return the durable state: the NVM image plus the engine's
      * persistent-domain overlay (committed AGB prefix).
+     *
+     * Continuation: a later call with a crash cycle no earlier than
+     * the previous one (asserted) resumes the same run from where the
+     * last call stopped, so stopping at c1 and then at c2 leaves the
+     * machine — stats, durable state, store log — exactly as one call
+     * at c2 would.  The cores start on the first call only.  Each
+     * call's livelock watchdog starts afresh, so a hang that straddles
+     * a crash point is reported with other event counts than one call
+     * would report.
      */
     std::unordered_map<LineAddr, LineWords> runUntilCrash(Cycle crashAt);
 
@@ -124,6 +133,12 @@ class System
     SyncCoordinator sync_;
     std::vector<std::unique_ptr<Cpu>> cpus_;
     unsigned finishedCount_ = 0;
+    /** Cores started (by run() or the first runUntilCrash()). */
+    bool started_ = false;
+    /** Crash cycle of the last runUntilCrash() call. */
+    Cycle crashedAt_ = 0;
+
+    void startCores();
 };
 
 } // namespace tsoper

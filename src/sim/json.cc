@@ -1,11 +1,14 @@
 #include "sim/json.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <ostream>
 
 #include "sim/log.hh"
@@ -19,6 +22,42 @@ struct Json::Box : Json::Payload
 {
     explicit Box(T v) : value(std::move(v)) {}
     T value;
+};
+
+/** An array payload: the header, then room for `capacity` elements in
+ *  the same allocation, the first `size` of them live.  A sized array
+ *  is one allocation; push() past the room moves the elements to a
+ *  block twice as large. */
+struct Json::Elements : Json::Payload
+{
+    std::size_t size = 0;
+    std::size_t capacity = 0;
+
+    Json *data() { return reinterpret_cast<Json *>(this + 1); }
+    const Json *
+    data() const
+    {
+        return reinterpret_cast<const Json *>(this + 1);
+    }
+
+    static Elements *
+    make(std::size_t capacity)
+    {
+        static_assert(sizeof(Elements) % alignof(Json) == 0,
+                      "elements follow the header aligned");
+        auto *e = new (::operator new(sizeof(Elements) +
+                                      capacity * sizeof(Json))) Elements;
+        e->capacity = capacity;
+        return e;
+    }
+
+    static void
+    release(Elements *e)
+    {
+        std::destroy_n(e->data(), e->size);
+        e->~Elements();
+        ::operator delete(e);
+    }
 };
 
 static_assert(sizeof(Json) == 16, "a Json value is a tag and one word");
@@ -39,11 +78,11 @@ Json::Json(std::string s) : type_(Type::String)
 }
 
 Json
-Json::array()
+Json::array(std::size_t capacity)
 {
     Json j;
     j.type_ = Type::Array;
-    j.v_.box = new Box<std::vector<Json>>(std::vector<Json>{});
+    j.v_.box = Elements::make(capacity);
     return j;
 }
 
@@ -62,7 +101,7 @@ Json::destroy()
     if (type_ == Type::String)
         delete static_cast<Box<std::string> *>(v_.box);
     else if (type_ == Type::Array)
-        delete static_cast<Box<std::vector<Json>> *>(v_.box);
+        Elements::release(static_cast<Elements *>(v_.box));
     else
         delete static_cast<Box<Members> *>(v_.box);
 }
@@ -70,7 +109,7 @@ Json::destroy()
 // Copy-on-write: a payload is mutated in place only while this value
 // is its sole owner.  The acquire load pairs with the release in the
 // destructor of the last other owner, so its reads happen before our
-// writes.
+// writes.  push() follows the same rule for arrays.
 template <class T>
 T &
 Json::unshared()
@@ -139,14 +178,34 @@ Json &
 Json::push(Json v)
 {
     tsoper_assert(type_ == Type::Array, "Json::push on non-array");
-    unshared<std::vector<Json>>().push_back(std::move(v));
+    auto *arr = static_cast<Elements *>(v_.box);
+    const bool shared = arr->refs.load(std::memory_order_acquire) != 1;
+    if (shared || arr->size == arr->capacity) {
+        Elements *fresh = Elements::make(
+            arr->size < arr->capacity
+                ? arr->capacity
+                : std::max<std::size_t>(4, 2 * arr->capacity));
+        if (shared)
+            std::uninitialized_copy_n(arr->data(), arr->size,
+                                      fresh->data());
+        else
+            std::uninitialized_move_n(arr->data(), arr->size,
+                                      fresh->data());
+        fresh->size = arr->size;
+        const Json old = std::move(*this); // drops our reference
+        type_ = Type::Array;
+        v_.box = arr = fresh;
+    }
+    new (arr->data() + arr->size) Json(std::move(v));
+    ++arr->size;
     return *this;
 }
 
-const std::vector<Json> &
+std::span<const Json>
 Json::elements() const
 {
-    return static_cast<const Box<std::vector<Json>> *>(v_.box)->value;
+    const auto *arr = static_cast<const Elements *>(v_.box);
+    return {arr->data(), arr->size};
 }
 
 std::size_t
@@ -163,7 +222,7 @@ const Json &
 Json::at(std::size_t i) const
 {
     tsoper_assert(type_ == Type::Array, "Json::at on non-array");
-    const std::vector<Json> &arr = elements();
+    const std::span<const Json> arr = elements();
     tsoper_assert(i < arr.size(), "Json::at index ", i, " out of range");
     return arr[i];
 }
@@ -231,7 +290,8 @@ Json::operator==(const Json &other) const
         }
         return asDouble() == other.asDouble();
       case Type::String: return asString() == other.asString();
-      case Type::Array: return elements() == other.elements();
+      case Type::Array:
+        return std::ranges::equal(elements(), other.elements());
       case Type::Object: return members() == other.members();
     }
     return false;
@@ -365,7 +425,7 @@ Json::dumpTo(std::string &out, int indent, int depth,
         escapeString(asString(), out);
         return;
       case Type::Array: {
-        const std::vector<Json> &arr = elements();
+        const std::span<const Json> arr = elements();
         if (arr.empty()) {
             out += "[]";
             return;

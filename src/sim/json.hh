@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,7 +103,9 @@ class Json
             destroy();
     }
 
-    static Json array();
+    /** An empty array with room for @p capacity elements: pushing up
+     *  to that many allocates nothing more. */
+    static Json array(std::size_t capacity = 0);
     static Json object();
 
     Type type() const { return type_; }
@@ -180,12 +183,13 @@ class Json
         return type_ >= Type::String;
     }
     template <class T> struct Box;
+    struct Elements;
 
     void destroy();
     /** Array elements. */
-    const std::vector<Json> &elements() const;
-    /** The array/object payload, copied first unless this value is
-     *  its only owner. */
+    std::span<const Json> elements() const;
+    /** The object payload, copied first unless this value is its only
+     *  owner. */
     template <class T> T &unshared();
 
     void dumpTo(std::string &out, int indent, int depth,

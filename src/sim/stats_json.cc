@@ -12,9 +12,10 @@ statsToJson(const StatsRegistry &reg)
 
     Json histograms = Json::object();
     for (const auto &[name, h] : reg.histograms()) {
-        Json buckets = Json::array();
-        for (const auto &[value, count] : h.buckets()) {
-            Json pair = Json::array();
+        const auto counts = h.buckets();
+        Json buckets = Json::array(counts.size());
+        for (const auto &[value, count] : counts) {
+            Json pair = Json::array(2);
             pair.push(Json(value)).push(Json(count));
             buckets.push(std::move(pair));
         }
@@ -30,9 +31,10 @@ statsToJson(const StatsRegistry &reg)
 
     Json series = Json::object();
     for (const auto &[name, ts] : reg.series()) {
-        Json points = Json::array();
+        // Sized arrays: one allocation per [cycle, value] point.
+        Json points = Json::array(ts.points().size());
         for (const auto &[cycle, value] : ts.points()) {
-            Json pair = Json::array();
+            Json pair = Json::array(2);
             pair.push(Json(static_cast<std::uint64_t>(cycle)))
                 .push(Json(value));
             points.push(std::move(pair));

@@ -4,6 +4,7 @@
 
 #include "core/recovery.hh"
 #include "core/system.hh"
+#include "sim/stats_json.hh"
 #include "workload/generators.hh"
 
 using namespace tsoper;
@@ -47,6 +48,42 @@ TEST(Recovery, MidRunCrashUsesTheBufferOverlay)
     // With eight crash points in a persist-heavy run, at least one must
     // catch committed-but-undrained AGB contents.
     EXPECT_TRUE(sawBufferRecovery);
+}
+
+// A run stopped at c1 and continued to c2 is the run stopped at c2:
+// same durable state, same audit, same stats bytes.  One engine per
+// protocol (SLC and MESI).
+TEST(Recovery, ContinuedCrashRunEqualsAFreshRun)
+{
+    for (const EngineKind engine : {EngineKind::Tsoper, EngineKind::Bsp}) {
+        SystemConfig cfg = makeConfig(engine);
+        cfg.recordStores = true;
+        const Workload w = generateByName("dedup", cfg.numCores, 3, 0.05);
+        Cycle full = 0;
+        {
+            System sys(cfg, w);
+            full = sys.run();
+        }
+        System continued(cfg, w);
+        for (unsigned i = 1; i <= 4; ++i) {
+            const Cycle at = full * i / 5;
+            const auto image = continued.runUntilCrash(at);
+            System fresh(cfg, w);
+            EXPECT_EQ(image, fresh.runUntilCrash(at)) << "crash " << i;
+            EXPECT_EQ(recover(continued, PersistModel::StrictTso).summary(),
+                      recover(fresh, PersistModel::StrictTso).summary())
+                << "crash " << i;
+            EXPECT_EQ(statsJsonText(continued.stats()),
+                      statsJsonText(fresh.stats()))
+                << "crash " << i;
+        }
+        // Stopping again at the same cycle changes nothing; an
+        // earlier one cannot be reached.
+        const std::string before = statsJsonText(continued.stats());
+        continued.runUntilCrash(full * 4 / 5);
+        EXPECT_EQ(statsJsonText(continued.stats()), before);
+        EXPECT_THROW(continued.runUntilCrash(full / 5), std::logic_error);
+    }
 }
 
 TEST(Recovery, UnauditedWithoutStoreLog)

@@ -314,3 +314,84 @@ TEST(SubprocessCampaign, JournalResumeSpawnsOnlyUnfinishedCells)
     EXPECT_TRUE(second.allOk()) << second.summary();
     std::remove(path.c_str());
 }
+
+// --- Crash groups against one crash point per process -------------------
+
+namespace
+{
+
+/** Two crash groups (tsoper and bsp on dedup) of three points each. */
+std::vector<RunRequest>
+crashGrid()
+{
+    std::vector<RunRequest> cells;
+    for (const char *engine : {"tsoper", "bsp"}) {
+        for (const double at : {0.25, 0.5, 0.75}) {
+            RunRequest r = tinyRequest(std::string(engine) + "/c" +
+                                       std::to_string(at));
+            r.engine = engine;
+            r.crashAt = at;
+            cells.push_back(r);
+        }
+    }
+    return cells;
+}
+
+} // namespace
+
+// A subprocess cell runs one crash point per process, so it is an
+// oracle for the in-process runner, which advances one System through
+// each group's points.
+TEST(SubprocessCampaign, CrashGroupsMatchOneProcessPerCrashPoint)
+{
+    const std::vector<RunRequest> cells = crashGrid();
+    RunnerOptions inProcess;
+    inProcess.jobs = 2;
+    inProcess.backoffBaseMs = 0;
+    const CampaignReport grouped = runCampaign("grid", cells, inProcess);
+    CampaignReport isolated = runCampaign("grid", cells, subprocessRunner());
+
+    ASSERT_EQ(grouped.cells.size(), cells.size());
+    ASSERT_EQ(isolated.cells.size(), cells.size());
+    for (CellReport &cell : isolated.cells) {
+        EXPECT_NE(cell.result.exitCode, -1) << cell.request.id;
+        cell.result.exitCode = -1; // the one subprocess-only field
+    }
+    const Json a = canonicalReportJson(grouped)["cells"];
+    const Json b = canonicalReportJson(isolated)["cells"];
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(a.at(i).dump(), b.at(i).dump()) << cells[i].id;
+}
+
+// A journal that holds only some cells of a group resumes into the
+// report a fresh run writes: the rest of the group runs as a smaller
+// group.
+TEST(SubprocessCampaign, ResumeFromPartOfACrashGroupEqualsAFreshRun)
+{
+    const std::string path =
+        ::testing::TempDir() + "tsoper_group_resume.jsonl";
+    std::string err;
+    const std::vector<RunRequest> cells = crashGrid();
+    RunnerOptions opt;
+    opt.jobs = 2;
+    opt.backoffBaseMs = 0;
+    const CampaignReport fresh = runCampaign("grid", cells, opt);
+
+    // Interrupted sweep: the first and last points of tsoper's group
+    // and the middle one of bsp's made it into the journal.
+    CampaignJournal journal;
+    ASSERT_TRUE(journal.open(path, "grid", /*truncate=*/true, &err));
+    opt.journal = &journal;
+    runCampaign("grid", {cells[0], cells[2], cells[4]}, opt);
+    journal.close();
+    JournalIndex idx;
+    ASSERT_TRUE(loadJournal(path, &idx, &err)) << err;
+
+    opt.journal = nullptr;
+    opt.resumeFrom = &idx;
+    const CampaignReport resumed = runCampaign("grid", cells, opt);
+    EXPECT_EQ(resumed.resumedCount(), 3u);
+    EXPECT_EQ(canonicalReportJson(resumed).dump(),
+              canonicalReportJson(fresh).dump());
+    std::remove(path.c_str());
+}
